@@ -5,9 +5,10 @@
 /// transactions inline on the calling thread (no driver threads, so every
 /// counted allocation is attributable to the measured loop) and reports
 /// allocations/txn and ns/txn per scheme and mix. After warm-up the
-/// read-only path must report 0.0 allocations per transaction under both
-/// SILO and MVTO — the per-worker arenas, inline access-set small-vectors,
-/// version pools, and batched timestamps exist to make that number zero.
+/// read-only path must report 0.0 allocations per transaction under SILO,
+/// MVTO and the 2PL schemes (NO_WAIT, WAIT_DIE, WOUND_WAIT) — the per-worker
+/// arenas, inline access-set small-vectors, version pools, batched
+/// timestamps and in-row lock lists exist to make that number zero.
 ///
 /// Columns: scheme, mix, txns, allocs_per_txn, ns_per_txn.
 
@@ -121,7 +122,8 @@ int Main(int argc, char** argv) {
       {"rmw_50", 0.5, true},
   };
   int failures = 0;
-  for (CcScheme scheme : {CcScheme::kOcc, CcScheme::kMvto}) {
+  for (CcScheme scheme : {CcScheme::kOcc, CcScheme::kMvto, CcScheme::kNoWait,
+                          CcScheme::kWaitDie, CcScheme::kWoundWait}) {
     for (const Mix& mix : mixes) {
       const Point p = RunInline(scheme, mix);
       std::printf("%s,%s,%llu,%.4f,%.1f\n", CcSchemeName(scheme), mix.name,

@@ -1,5 +1,6 @@
 #include "cc/lock_manager.h"
 
+#include <new>
 #include <thread>
 
 #include "common/stats.h"
@@ -11,107 +12,71 @@ namespace {
 // itself. With correct deadlock handling this should never fire; it bounds
 // the damage of pathological schedules on oversubscribed hosts.
 constexpr uint64_t kWaitTimeoutNs = 2'000'000'000ull;
+
+bool Conflicts(LockMode a, LockMode b) {
+  return a == LockMode::kExclusive || b == LockMode::kExclusive;
+}
+
+LockEntry* NewEntry(TxnContext* txn, LockMode mode, bool upgrade,
+                    LockEntry::State state) {
+  void* mem = txn->arena()->Allocate(sizeof(LockEntry));
+  return new (mem) LockEntry(txn, mode, upgrade, state);
+}
 }  // namespace
 
-LockManager::LockManager(DeadlockPolicy policy)
-    // lint: allow-naked-new — construction-time shard array.
-    : policy_(policy), shards_(new Shard[kNumShards]) {}
+LockManager::LockManager(DeadlockPolicy policy) : policy_(policy) {}
 
-LockManager::Owner* LockManager::LockState::FindOwner(uint64_t txn_id) {
-  for (auto& owner : owners) {
-    if (owner.txn_id == txn_id) return &owner;
-  }
-  return nullptr;
-}
-
-bool LockManager::LockState::HasConflict(uint64_t txn_id,
-                                         LockMode mode) const {
-  for (const auto& owner : owners) {
-    if (owner.txn_id == txn_id) continue;
-    if (mode == LockMode::kExclusive || owner.mode == LockMode::kExclusive) {
-      return true;
-    }
-  }
-  return false;
-}
-
-void LockManager::LockState::Enqueue(Waiter* waiter) {
-  waiter->next = nullptr;
-  if (waiter->is_upgrade) {
-    // Upgrades go to the head: they hold a shared lock already, so nothing
-    // behind them can be granted until they finish anyway.
-    waiter->next = wait_head;
-    wait_head = waiter;
-    if (wait_tail == nullptr) wait_tail = waiter;
-    return;
-  }
-  if (wait_tail == nullptr) {
-    wait_head = wait_tail = waiter;
-  } else {
-    wait_tail->next = waiter;
-    wait_tail = waiter;
-  }
-}
-
-void LockManager::LockState::Dequeue(Waiter* waiter) {
-  Waiter** link = &wait_head;
-  Waiter* prev = nullptr;
-  while (*link != nullptr) {
-    if (*link == waiter) {
-      *link = waiter->next;
-      if (wait_tail == waiter) wait_tail = prev;
-      waiter->next = nullptr;
+void LockManager::Unlink(Row* row, LockEntry* entry) {
+  for (LockEntry** link = &row->lock_list; *link != nullptr;
+       link = &(*link)->next) {
+    if (*link == entry) {
+      *link = entry->next;
+      entry->next = nullptr;
       return;
     }
-    prev = *link;
-    link = &prev->next;
   }
 }
 
-void LockManager::LockState::GrantWaiters() {
-  while (wait_head != nullptr) {
-    Waiter* waiter = wait_head;
+void LockManager::GrantWaiters(Row* row) {
+  size_t holders = 0;
+  bool exclusive_held = false;
+  LockEntry* last_holder = nullptr;
+  LockEntry** link = &row->lock_list;
+  for (; *link != nullptr && (*link)->granted(); link = &(*link)->next) {
+    ++holders;
+    last_holder = *link;
+    exclusive_held |= last_holder->mode == LockMode::kExclusive;
+  }
+  while (*link != nullptr) {
+    LockEntry* waiter = *link;
     if (waiter->is_upgrade) {
-      if (owners.size() == 1 && owners[0].txn_id == waiter->txn_id) {
-        owners[0].mode = LockMode::kExclusive;
-        Dequeue(waiter);
-        waiter->state.store(Waiter::kGranted, std::memory_order_release);
-        continue;
-      }
-      return;  // Upgrade at head blocks everything behind it.
+      // An upgrade at the head of the waiters blocks everything behind it.
+      if (holders != 1 || last_holder->txn_id != waiter->txn_id) return;
+      last_holder->mode = LockMode::kExclusive;
+      exclusive_held = true;
+      *link = waiter->next;
+      waiter->next = nullptr;
+      waiter->state.store(LockEntry::kGranted, std::memory_order_release);
+      continue;
     }
-    if (waiter->mode == LockMode::kShared) {
-      if (HasConflict(waiter->txn_id, LockMode::kShared)) return;
-    } else {
-      if (!owners.empty()) return;
-    }
-    owners.push_back(Owner{waiter->txn_id, waiter->ts, waiter->mode, waiter->txn});
-    Dequeue(waiter);
-    waiter->state.store(Waiter::kGranted, std::memory_order_release);
+    const bool blocked = waiter->mode == LockMode::kShared ? exclusive_held
+                                                           : holders > 0;
+    if (blocked) return;
+    ++holders;
+    last_holder = waiter;
+    exclusive_held |= waiter->mode == LockMode::kExclusive;
+    waiter->state.store(LockEntry::kGranted, std::memory_order_release);
+    link = &waiter->next;
   }
 }
 
-LockManager::LockState* LockManager::GetState(Row* row) {
-  Shard& shard =
-      shards_[(reinterpret_cast<uintptr_t>(row) >> 6) % kNumShards];
-  SpinLatchGuard guard(&shard.latch);
-  auto it = shard.states.find(row);
-  if (it == shard.states.end()) {
-    it = shard.states.emplace(row, std::make_unique<LockState>()).first;
-  }
-  return it->second.get();
-}
-
-void LockManager::CollectBlockers(const LockState& state, const Waiter& self,
-                                  uint64_t txn_id,
+void LockManager::CollectBlockers(Row* row, const LockEntry& self,
                                   std::vector<uint64_t>* out) {
   out->clear();
-  for (const auto& owner : state.owners) {
-    if (owner.txn_id != txn_id) out->push_back(owner.txn_id);
-  }
-  for (const Waiter* w = state.wait_head; w != nullptr && w != &self;
-       w = w->next) {
-    out->push_back(w->txn_id);
+  // Granted entries precede every waiter, so this covers all holders.
+  for (const LockEntry* e = row->lock_list; e != nullptr && e != &self;
+       e = e->next) {
+    if (e->txn_id != self.txn_id) out->push_back(e->txn_id);
   }
 }
 
@@ -150,15 +115,14 @@ void LockManager::WaitsForGraph::Remove(uint64_t waiter) {
   edges_.erase(waiter);
 }
 
-Status LockManager::Wait(TxnContext* txn, LockState* state, Waiter* waiter,
-                         Row* row) {
+Status LockManager::Wait(TxnContext* txn, Row* row, LockEntry* entry) {
   if (txn->stats() != nullptr) ++txn->stats()->lock_waits;
   const uint64_t deadline = NowNanos() + kWaitTimeoutNs;
   std::vector<uint64_t> blockers;
   uint64_t spins = 0;
   for (;;) {
-    if (waiter->state.load(std::memory_order_acquire) == Waiter::kGranted) {
-      if (!waiter->is_upgrade) txn->held_locks().push_back(row);
+    if (entry->state.load(std::memory_order_acquire) == LockEntry::kGranted) {
+      if (!entry->is_upgrade) txn->held_locks().push_back(row);
       if (policy_ == DeadlockPolicy::kDlDetect) graph_.Remove(txn->txn_id());
       return Status::OK();
     }
@@ -178,157 +142,153 @@ Status LockManager::Wait(TxnContext* txn, LockState* state, Waiter* waiter,
 
     bool victim = timed_out || wounded;
     if (check_deadlock && !victim) {
-      state->Lock();
-      if (waiter->state.load(std::memory_order_relaxed) == Waiter::kGranted) {
-        state->Unlock();
+      row->Latch();
+      if (entry->granted()) {
+        row->Unlatch();
         continue;
       }
-      CollectBlockers(*state, *waiter, txn->txn_id(), &blockers);
-      state->Unlock();
+      CollectBlockers(row, *entry, &blockers);
+      row->Unlatch();
       victim = graph_.UpdateAndCheckCycle(txn->txn_id(), blockers);
     }
     if (!victim) continue;
 
     // Abort this request: dequeue unless a grant raced us.
-    state->Lock();
-    if (waiter->state.load(std::memory_order_relaxed) == Waiter::kGranted) {
-      state->Unlock();
+    row->Latch();
+    if (entry->granted()) {
+      row->Unlatch();
       continue;  // Grant won the race; take the lock after all.
     }
-    state->Dequeue(waiter);
+    Unlink(row, entry);
     // An upgrade waiter keeps its original shared lock; nothing to undo.
-    GrantAfterDequeue(state);
-    state->Unlock();
+    // Removing a waiter can unblock those behind it (e.g. an aborted X
+    // waiter that separated two groups of S waiters).
+    GrantWaiters(row);
+    row->Unlatch();
     if (policy_ == DeadlockPolicy::kDlDetect) graph_.Remove(txn->txn_id());
     if (wounded) return Status::Aborted("wounded by older transaction");
     return Status::Aborted(timed_out ? "lock wait timeout" : "deadlock");
   }
 }
 
-void LockManager::WoundYoungerConflicts(LockState* state, TxnContext* txn,
+bool LockManager::MustDie(Row* row, const TxnContext& txn, LockMode mode,
+                          bool upgrade) {
+  for (const LockEntry* e = row->lock_list; e != nullptr; e = e->next) {
+    if (e->txn_id == txn.txn_id()) continue;
+    const bool blocks = e->granted() ? Conflicts(mode, e->mode) : !upgrade;
+    if (blocks && txn.ts() >= e->ts) return true;
+  }
+  return false;
+}
+
+void LockManager::WoundYoungerConflicts(Row* row, TxnContext* txn,
                                         LockMode mode) {
   // Wound-wait: the older requester marks every younger conflicting holder
   // (and younger queued waiter) for death, then waits. Victims notice at
   // their next lock operation or inside their wait loop. A victim that has
   // already entered commit finishes and releases normally — it never waits
   // again, so deadlock freedom is preserved either way.
-  for (const auto& owner : state->owners) {
-    if (owner.txn_id == txn->txn_id()) continue;
-    const bool conflicts =
-        mode == LockMode::kExclusive || owner.mode == LockMode::kExclusive;
-    if (conflicts && owner.ts > txn->ts()) owner.txn->set_wounded();
-  }
-  for (Waiter* w = state->wait_head; w != nullptr; w = w->next) {
-    if (w->ts > txn->ts()) w->txn->set_wounded();
+  for (LockEntry* e = row->lock_list; e != nullptr; e = e->next) {
+    if (e->txn_id == txn->txn_id()) continue;
+    const bool conflicts = !e->granted() || Conflicts(mode, e->mode);
+    if (conflicts && e->ts > txn->ts()) e->txn->set_wounded();
   }
 }
 
 Status LockManager::Acquire(TxnContext* txn, Row* row, LockMode mode) {
-  LockState* state = GetState(row);
-  state->Lock();
+  row->Latch();
+  // One pass over the granted prefix finds this transaction's own entry and
+  // any conflicting holder; `waiters` ends on the link to the first waiter.
+  LockEntry* own = nullptr;
+  bool conflict = false;
+  LockEntry** waiters = &row->lock_list;
+  for (; *waiters != nullptr && (*waiters)->granted();
+       waiters = &(*waiters)->next) {
+    LockEntry* holder = *waiters;
+    if (holder->txn_id == txn->txn_id()) {
+      own = holder;
+    } else if (Conflicts(mode, holder->mode)) {
+      conflict = true;
+    }
+  }
 
-  Owner* own = state->FindOwner(txn->txn_id());
   if (own != nullptr) {
     if (own->mode == LockMode::kExclusive || mode == LockMode::kShared) {
-      state->Unlock();
+      row->Unlatch();
       return Status::OK();  // Already held at sufficient strength.
     }
-    // Upgrade S -> X.
-    if (state->owners.size() == 1) {
+    // Upgrade S -> X: every other holder conflicts with X.
+    if (!conflict) {
       own->mode = LockMode::kExclusive;
-      state->Unlock();
+      row->Unlatch();
       return Status::OK();
     }
     if (policy_ == DeadlockPolicy::kNoWait) {
-      state->Unlock();
+      row->Unlatch();
       return Status::Aborted("upgrade conflict (no-wait)");
     }
-    if (policy_ == DeadlockPolicy::kWaitDie) {
-      for (const auto& owner : state->owners) {
-        if (owner.txn_id != txn->txn_id() && txn->ts() >= owner.ts) {
-          state->Unlock();
-          return Status::Aborted("upgrade conflict (wait-die: die)");
-        }
-      }
+    if (policy_ == DeadlockPolicy::kWaitDie &&
+        MustDie(row, *txn, mode, /*upgrade=*/true)) {
+      row->Unlatch();
+      return Status::Aborted("upgrade conflict (wait-die: die)");
     }
     if (policy_ == DeadlockPolicy::kWoundWait) {
-      WoundYoungerConflicts(state, txn, LockMode::kExclusive);
+      WoundYoungerConflicts(row, txn, mode);
     }
-    Waiter waiter;
-    waiter.txn_id = txn->txn_id();
-    waiter.ts = txn->ts();
-    waiter.mode = LockMode::kExclusive;
-    waiter.is_upgrade = true;
-    waiter.txn = txn;
-    state->Enqueue(&waiter);
-    state->Unlock();
-    return Wait(txn, state, &waiter, row);
+    // Upgrades go to the head of the waiters: they hold a shared lock
+    // already, so nothing behind them can be granted until they finish.
+    LockEntry* entry =
+        NewEntry(txn, mode, /*upgrade=*/true, LockEntry::kWaiting);
+    entry->next = *waiters;
+    *waiters = entry;
+    row->Unlatch();
+    return Wait(txn, row, entry);
   }
 
-  const bool queue_empty = state->wait_head == nullptr;
-  if (queue_empty && !state->HasConflict(txn->txn_id(), mode)) {
-    state->owners.push_back(Owner{txn->txn_id(), txn->ts(), mode, txn});
-    state->Unlock();
+  if (*waiters == nullptr && !conflict) {
+    *waiters = NewEntry(txn, mode, /*upgrade=*/false, LockEntry::kGranted);
+    row->Unlatch();
     txn->held_locks().push_back(row);
     return Status::OK();
   }
 
   if (policy_ == DeadlockPolicy::kNoWait) {
-    state->Unlock();
+    row->Unlatch();
     return Status::Aborted("lock conflict (no-wait)");
   }
-  if (policy_ == DeadlockPolicy::kWaitDie) {
-    // The requester may wait only if it is older than every conflicting
-    // owner and every queued waiter (waiting on a younger txn only).
-    for (const auto& owner : state->owners) {
-      const bool conflicts = mode == LockMode::kExclusive ||
-                             owner.mode == LockMode::kExclusive;
-      if (conflicts && txn->ts() >= owner.ts) {
-        state->Unlock();
-        return Status::Aborted("lock conflict (wait-die: die)");
-      }
-    }
-    for (const Waiter* w = state->wait_head; w != nullptr; w = w->next) {
-      if (txn->ts() >= w->ts) {
-        state->Unlock();
-        return Status::Aborted("lock conflict (wait-die: die)");
-      }
-    }
+  if (policy_ == DeadlockPolicy::kWaitDie &&
+      MustDie(row, *txn, mode, /*upgrade=*/false)) {
+    row->Unlatch();
+    return Status::Aborted("lock conflict (wait-die: die)");
   }
-
   if (policy_ == DeadlockPolicy::kWoundWait) {
-    WoundYoungerConflicts(state, txn, mode);
+    WoundYoungerConflicts(row, txn, mode);
   }
 
-  Waiter waiter;
-  waiter.txn_id = txn->txn_id();
-  waiter.ts = txn->ts();
-  waiter.mode = mode;
-  waiter.is_upgrade = false;
-  waiter.txn = txn;
-  state->Enqueue(&waiter);
-  state->Unlock();
-  return Wait(txn, state, &waiter, row);
-}
-
-void LockManager::GrantAfterDequeue(LockState* state) {
-  // Removing a waiter from the middle of the queue can unblock those behind
-  // it (e.g. an aborted X waiter that separated two groups of S waiters).
-  state->GrantWaiters();
+  LockEntry** tail = waiters;
+  while (*tail != nullptr) tail = &(*tail)->next;
+  LockEntry* entry =
+      NewEntry(txn, mode, /*upgrade=*/false, LockEntry::kWaiting);
+  *tail = entry;
+  row->Unlatch();
+  return Wait(txn, row, entry);
 }
 
 void LockManager::ReleaseAll(TxnContext* txn) {
   for (Row* row : txn->held_locks()) {
-    LockState* state = GetState(row);
-    state->Lock();
-    for (size_t i = 0; i < state->owners.size(); ++i) {
-      if (state->owners[i].txn_id == txn->txn_id()) {
-        state->owners.erase(state->owners.begin() + i);
+    row->Latch();
+    // The only entry this transaction can have here is its granted one: it
+    // waits on one row at a time, and a finished upgrade request is
+    // unlinked when granted or abandoned.
+    for (LockEntry** link = &row->lock_list; *link != nullptr;
+         link = &(*link)->next) {
+      if ((*link)->txn_id == txn->txn_id()) {
+        *link = (*link)->next;
         break;
       }
     }
-    state->GrantWaiters();
-    state->Unlock();
+    GrantWaiters(row);
+    row->Unlatch();
   }
   txn->held_locks().clear();
 }

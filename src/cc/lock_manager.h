@@ -3,9 +3,13 @@
 
 /// \file
 /// Row lock manager backing the 2PL family (NO_WAIT / WAIT_DIE /
-/// DL_DETECT). Lock state lives in a sharded hash map keyed by row pointer;
-/// waiters block by spinning on a stack-resident request block, which keeps
-/// the wake-up path allocation-free.
+/// WOUND_WAIT / DL_DETECT). Lock state lives in the row itself, in the
+/// DBx1000 per-tuple layout: `Row::lock_list` heads one list of LockEntry
+/// records, granted entries first and FIFO waiters after them, guarded by
+/// the row's mini-latch. Entries are bump-allocated from the requesting
+/// transaction's arena, so a lock or release never touches the heap and
+/// lock memory is O(held locks). Waiters spin on their own entry's state,
+/// which a releaser flips under the row latch.
 ///
 /// Deadlock handling is the pluggable part:
 ///   * kNoWait  — any conflict aborts the requester immediately.
@@ -24,7 +28,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -37,9 +40,41 @@
 
 namespace next700 {
 
-enum class LockMode { kShared, kExclusive };
+enum class LockMode : uint8_t { kShared, kExclusive };
 
 enum class DeadlockPolicy { kNoWait, kWaitDie, kWoundWait, kDlDetect };
+
+/// One lock request on a row: a granted lock or a queued waiter. Linked
+/// into Row::lock_list under the row latch. The memory comes from the
+/// requester's arena, which is rewound only by TxnContext::Reset() — after
+/// ReleaseAll has unlinked every entry of the transaction.
+struct LockEntry {
+  enum State : uint8_t { kWaiting = 0, kGranted = 1 };
+
+  LockEntry(TxnContext* owner, LockMode lock_mode, bool upgrade, State init)
+      : txn_id(owner->txn_id()),
+        ts(owner->ts()),
+        txn(owner),
+        mode(lock_mode),
+        is_upgrade(upgrade),
+        state(init) {}
+
+  /// Reads the state under the row latch (grants are made under it).
+  bool granted() const {
+    return state.load(std::memory_order_relaxed) == kGranted;
+  }
+
+  uint64_t txn_id;
+  Timestamp ts;
+  TxnContext* txn;  // For wounding; valid while the entry is linked.
+  LockEntry* next = nullptr;
+  LockMode mode;
+  /// S->X request of a transaction that holds a granted S entry on the
+  /// same row. Granting it raises that entry to X and unlinks this one.
+  bool is_upgrade;
+  /// kWaiting -> kGranted by a releaser; a waiter spins on it.
+  std::atomic<uint8_t> state;
+};
 
 class LockManager {
  public:
@@ -53,66 +88,13 @@ class LockManager {
   /// Records the row in txn->held_locks() on first acquisition.
   Status Acquire(TxnContext* txn, Row* row, LockMode mode);
 
-  /// Releases every lock held by `txn` and wakes eligible waiters.
+  /// Releases every lock held by `txn` and wakes eligible waiters. Leaves
+  /// no entry of `txn` in any row's lock list.
   void ReleaseAll(TxnContext* txn);
 
   DeadlockPolicy policy() const { return policy_; }
 
  private:
-  static constexpr int kNumShards = 1024;
-
-  struct Owner {
-    uint64_t txn_id;
-    Timestamp ts;
-    LockMode mode;
-    TxnContext* txn;  // For wounding; valid while the entry exists.
-  };
-
-  /// Stack-resident wait block. state transitions: kWaiting -> kGranted
-  /// (by a releaser) — or the waiter dequeues itself on deadlock/timeout.
-  struct Waiter {
-    enum State : int { kWaiting = 0, kGranted = 1 };
-    uint64_t txn_id;
-    Timestamp ts;
-    LockMode mode;
-    bool is_upgrade;
-    TxnContext* txn;  // For wounding waiters ahead in the queue.
-    std::atomic<int> state{kWaiting};
-    Waiter* next = nullptr;
-  };
-
-  struct CAPABILITY("lockstate") LockState {
-    std::atomic<uint8_t> latch{0};
-    std::vector<Owner> owners GUARDED_BY(this);
-    Waiter* wait_head GUARDED_BY(this) = nullptr;
-    Waiter* wait_tail GUARDED_BY(this) = nullptr;
-
-    void Lock() ACQUIRE() {
-      latch_rank::OnAcquire(this, LatchRank::kLockState);
-      while (latch.exchange(1, std::memory_order_acquire) != 0) CpuRelax();
-      NEXT700_TSAN_ACQUIRE(this);
-    }
-    void Unlock() RELEASE() {
-      latch_rank::OnRelease(this);
-      NEXT700_TSAN_RELEASE(this);
-      latch.store(0, std::memory_order_release);
-    }
-
-    Owner* FindOwner(uint64_t txn_id) REQUIRES(this);
-    bool HasConflict(uint64_t txn_id, LockMode mode) const REQUIRES(this);
-    void Enqueue(Waiter* waiter) REQUIRES(this);
-    void Dequeue(Waiter* waiter) REQUIRES(this);
-    /// Grants queued waiters that have become compatible (FIFO, with
-    /// upgrades at the head).
-    void GrantWaiters() REQUIRES(this);
-  };
-
-  struct Shard {
-    SpinLatch latch{LatchRank::kLockShard};
-    std::unordered_map<Row*, std::unique_ptr<LockState>> states
-        GUARDED_BY(latch);
-  };
-
   /// Global waits-for graph for kDlDetect.
   class WaitsForGraph {
    public:
@@ -132,26 +114,30 @@ class LockManager {
         GUARDED_BY(latch_);
   };
 
-  LockState* GetState(Row* row);
+  static void Unlink(Row* row, LockEntry* entry) REQUIRES(row);
 
-  /// Collects txn-ids this request would wait on (owners + queued waiters
-  /// ahead). Caller holds the state latch.
-  static void CollectBlockers(const LockState& state, const Waiter& self,
-                              uint64_t txn_id, std::vector<uint64_t>* out)
-      REQUIRES(state);
+  /// Grants waiters that have become compatible (FIFO, upgrades first).
+  static void GrantWaiters(Row* row) REQUIRES(row);
 
-  Status Wait(TxnContext* txn, LockState* state, Waiter* waiter, Row* row);
+  /// Collects txn-ids `self` would wait on: other holders and the waiters
+  /// queued ahead of it.
+  static void CollectBlockers(Row* row, const LockEntry& self,
+                              std::vector<uint64_t>* out) REQUIRES(row);
 
-  /// Re-runs waiter granting after a queue element was removed.
-  static void GrantAfterDequeue(LockState* state) REQUIRES(state);
+  Status Wait(TxnContext* txn, Row* row, LockEntry* entry);
 
-  /// Wound-wait: marks younger conflicting holders/waiters for death.
-  /// Caller holds the state latch.
-  static void WoundYoungerConflicts(LockState* state, TxnContext* txn,
-                                    LockMode mode) REQUIRES(state);
+  /// Wait-die: whether `txn` must die instead of waiting, i.e. whether an
+  /// entry it would wait on is not younger. An upgrade waits only on the
+  /// other holders; a new request also waits on every queued waiter.
+  static bool MustDie(Row* row, const TxnContext& txn, LockMode mode,
+                      bool upgrade) REQUIRES(row);
+
+  /// Wound-wait: marks younger conflicting holders and younger waiters for
+  /// death.
+  static void WoundYoungerConflicts(Row* row, TxnContext* txn, LockMode mode)
+      REQUIRES(row);
 
   DeadlockPolicy policy_;
-  std::unique_ptr<Shard[]> shards_;
   WaitsForGraph graph_;
 };
 

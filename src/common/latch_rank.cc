@@ -21,12 +21,8 @@ const char* LatchRankName(LatchRank rank) {
       return "index-root";
     case LatchRank::kIndexNode:
       return "index-node";
-    case LatchRank::kLockShard:
-      return "lock-shard";
     case LatchRank::kWaitsForGraph:
       return "waits-for-graph";
-    case LatchRank::kLockState:
-      return "lock-state";
     case LatchRank::kRow:
       return "row";
   }

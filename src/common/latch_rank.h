@@ -5,8 +5,8 @@
 /// Debug-mode latch-rank (lock-order) enforcement.
 ///
 /// Every physical latch in the engine belongs to one level of a global
-/// hierarchy (catalog above table above index node above lock-manager shard
-/// above row). A thread may only acquire latches in descending rank order;
+/// hierarchy (catalog above table above index node above the waits-for
+/// graph above row). A thread may only acquire latches in descending rank order;
 /// acquiring a latch whose rank is *higher* than one it already holds is a
 /// potential deadlock-by-inversion and aborts the process with the stack of
 /// the offending acquisition plus the recorded acquisition stacks of every
@@ -34,10 +34,8 @@ enum class LatchRank : int16_t {
   kTablePartition = 600,
   kIndexRoot = 510,  // B+-tree root pointer latch, above interior nodes.
   kIndexNode = 500,
-  kLockShard = 400,      // LockManager shard hash-map latch.
   kWaitsForGraph = 350,  // DL_DETECT global graph latch.
-  kLockState = 300,      // Per-row LockState queue latch.
-  kRow = 200,            // tidword word-locks and the row mini-latch.
+  kRow = 200,  // tidword word-locks and the row mini-latch (2PL lock list).
 };
 
 /// Human-readable name for diagnostics.

@@ -10,7 +10,9 @@
 ///   * tid_word — Silo/TicToc packed word (lock bit + version/timestamps).
 ///   * rts/wts  — timestamp-ordering read/write timestamps.
 ///   * chain    — newest-first multi-version chain head (MVTO).
-///   * mini-latch — short critical sections for T/O and MVTO installs.
+///   * lock_list — 2PL per-tuple lock list (granted entries, then waiters).
+///   * mini-latch — short critical sections for T/O and MVTO installs, and
+///                  the guard of `lock_list` for the 2PL family.
 
 #include <atomic>
 #include <cstdint>
@@ -23,6 +25,7 @@
 namespace next700 {
 
 class Table;
+struct LockEntry;
 
 /// One entry of a newest-first version chain (multi-version schemes).
 struct Version {
@@ -44,14 +47,15 @@ struct Version {
 };
 
 /// Row flags (plain bitmask in `flags`).
-inline constexpr uint32_t kRowDeleted = 1u << 0;
+inline constexpr uint8_t kRowDeleted = 1u << 0;
 /// Set while the slot sits on a table free list (aborted insert).
-inline constexpr uint32_t kRowFree = 1u << 1;
+inline constexpr uint8_t kRowFree = 1u << 1;
 
 // The row is its own capability: the mini-latch guards T/O and MVTO
-// installs. The CC metadata fields stay unannotated because they are
-// atomics read lock-free by concurrent readers and written under the latch
-// — a mixed discipline GUARDED_BY cannot express.
+// installs and the 2PL lock list. The timestamp/version fields stay
+// unannotated because they are atomics read lock-free by concurrent readers
+// and written under the latch — a mixed discipline GUARDED_BY cannot
+// express. The header is exactly one cache line (static_assert below).
 struct CAPABILITY("row") Row {
   // --- Concurrency-control metadata ------------------------------------
   std::atomic<uint64_t> tid_word{0};  // Silo/TicToc packed word.
@@ -63,10 +67,16 @@ struct CAPABILITY("row") Row {
   Table* table = nullptr;
   uint64_t primary_key = 0;  // Encoded key; used by logging and recovery.
   uint32_t partition = 0;
-  std::atomic<uint32_t> flags{0};
+  std::atomic<uint8_t> flags{0};
 
-  // Byte-sized test-and-set latch guarding T/O & MVTO metadata+payload.
+  // Byte-sized test-and-set latch guarding T/O & MVTO metadata+payload and
+  // the 2PL lock list.
   std::atomic<uint8_t> mini_latch{0};
+
+  // 2PL lock list: granted entries first, then FIFO waiters (an upgrade
+  // waits at the head of the waiters). Entries live in the requesting
+  // transactions' arenas; see cc/lock_manager.h.
+  LockEntry* lock_list GUARDED_BY(this) = nullptr;
 
   uint8_t* data() { return reinterpret_cast<uint8_t*>(this + 1); }
   const uint8_t* data() const {
@@ -101,10 +111,14 @@ struct CAPABILITY("row") Row {
     if (on) {
       flags.fetch_or(kRowDeleted, std::memory_order_release);
     } else {
-      flags.fetch_and(~kRowDeleted, std::memory_order_release);
+      flags.fetch_and(static_cast<uint8_t>(~kRowDeleted),
+                      std::memory_order_release);
     }
   }
 };
+
+// One cache line: a wider header costs every table's load time and memory.
+static_assert(sizeof(Row) == 64, "Row header must stay one cache line");
 
 /// RAII row mini-latch guard.
 class SCOPED_CAPABILITY RowLatchGuard {

@@ -3,7 +3,10 @@
 /// worker arenas, inline access sets, batched timestamps"). Global operator
 /// new is replaced with a counting shim, transactions run inline on the
 /// test thread, and the steady-state YCSB read-only path must perform
-/// exactly zero heap allocations under SILO and MVTO.
+/// exactly zero heap allocations under SILO and MVTO. The 2PL schemes
+/// (NO_WAIT, WAIT_DIE, WOUND_WAIT) must stay at zero with writes in the mix,
+/// including on rows locked for the first time: lock entries live in the
+/// row header and the transaction arena, never on the heap.
 ///
 /// This file is its own test binary (see tests/CMakeLists.txt): replacing
 /// operator new is binary-global, and the main suite should not run under
@@ -56,29 +59,48 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace next700 {
 namespace {
 
-uint64_t SteadyStateAllocations(CcScheme scheme) {
+uint64_t SteadyStateAllocations(CcScheme scheme, const YcsbOptions& ycsb,
+                                int warmup_txns, int measured_txns) {
   EngineOptions options;
   options.cc_scheme = scheme;
   options.max_threads = 1;
   Engine engine(options);
-  YcsbOptions ycsb;
-  ycsb.num_records = 1 << 12;
-  ycsb.ops_per_txn = 16;
-  ycsb.write_fraction = 0.0;  // Read-only: the acceptance path.
   YcsbWorkload workload(ycsb);
   workload.Load(&engine);
 
   Rng rng(7);
   // Warm-up grows the arena, the version pools, and the thread-local
   // workload scratch to their steady-state footprint.
-  for (int i = 0; i < 5000; ++i) {
+  for (int i = 0; i < warmup_txns; ++i) {
     EXPECT_TRUE(workload.RunNextTxn(&engine, 0, &rng).ok());
   }
   const uint64_t before = g_allocs.load(std::memory_order_relaxed);
-  for (int i = 0; i < 5000; ++i) {
+  for (int i = 0; i < measured_txns; ++i) {
     EXPECT_TRUE(workload.RunNextTxn(&engine, 0, &rng).ok());
   }
   return g_allocs.load(std::memory_order_relaxed) - before;
+}
+
+uint64_t SteadyStateAllocations(CcScheme scheme) {
+  YcsbOptions ycsb;
+  ycsb.num_records = 1 << 12;
+  ycsb.ops_per_txn = 16;
+  ycsb.write_fraction = 0.0;  // Read-only: the acceptance path.
+  return SteadyStateAllocations(scheme, ycsb, 5000, 5000);
+}
+
+// 2PL with half the operations writing (blind writes and read-for-update).
+// The warm-up draws 16k uniform keys from 64k rows, so about three quarters
+// of the table is still unlocked when the measured phase starts, and that
+// phase locks thousands of rows for the first time: a per-row lock
+// allocation on first touch would show here.
+uint64_t TwoPhaseLockingAllocations(CcScheme scheme, bool read_modify_write) {
+  YcsbOptions ycsb;
+  ycsb.num_records = 1 << 16;
+  ycsb.ops_per_txn = 16;
+  ycsb.write_fraction = 0.5;
+  ycsb.read_modify_write = read_modify_write;
+  return SteadyStateAllocations(scheme, ycsb, 1000, 2000);
 }
 
 TEST(AllocRegressionTest, SiloReadOnlyHotPathIsAllocationFree) {
@@ -89,8 +111,23 @@ TEST(AllocRegressionTest, MvtoReadOnlyHotPathIsAllocationFree) {
   EXPECT_EQ(SteadyStateAllocations(CcScheme::kMvto), 0u);
 }
 
+TEST(AllocRegressionTest, NoWaitWriteMixIsAllocationFree) {
+  EXPECT_EQ(TwoPhaseLockingAllocations(CcScheme::kNoWait, false), 0u);
+  EXPECT_EQ(TwoPhaseLockingAllocations(CcScheme::kNoWait, true), 0u);
+}
+
+TEST(AllocRegressionTest, WaitDieWriteMixIsAllocationFree) {
+  EXPECT_EQ(TwoPhaseLockingAllocations(CcScheme::kWaitDie, false), 0u);
+  EXPECT_EQ(TwoPhaseLockingAllocations(CcScheme::kWaitDie, true), 0u);
+}
+
+TEST(AllocRegressionTest, WoundWaitWriteMixIsAllocationFree) {
+  EXPECT_EQ(TwoPhaseLockingAllocations(CcScheme::kWoundWait, false), 0u);
+  EXPECT_EQ(TwoPhaseLockingAllocations(CcScheme::kWoundWait, true), 0u);
+}
+
 // Sanity-check the shim itself: a vector growth must be visible, otherwise
-// the two tests above would pass vacuously.
+// the tests above would pass vacuously.
 TEST(AllocRegressionTest, ShimCountsAllocations) {
   const uint64_t before = g_allocs.load(std::memory_order_relaxed);
   std::vector<uint64_t>* v = new std::vector<uint64_t>();

@@ -24,12 +24,12 @@ using LatchRankDeathTest = LatchRankTest;
 TEST_F(LatchRankTest, DescendingAcquisitionIsAllowed) {
   SpinLatch catalog(LatchRank::kCatalog);
   SpinLatch table(LatchRank::kTablePartition);
-  SpinLatch shard(LatchRank::kLockShard);
+  SpinLatch graph(LatchRank::kWaitsForGraph);
   catalog.Lock();
   table.Lock();
-  shard.Lock();
+  graph.Lock();
   EXPECT_EQ(latch_rank::HeldCount(), 3);
-  shard.Unlock();
+  graph.Unlock();
   table.Unlock();
   catalog.Unlock();
   EXPECT_EQ(latch_rank::HeldCount(), 0);
@@ -117,10 +117,10 @@ TEST_F(LatchRankDeathTest, SingleThreadInversionAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
-        SpinLatch shard(LatchRank::kLockShard);
+        SpinLatch graph(LatchRank::kWaitsForGraph);
         SpinLatch catalog(LatchRank::kCatalog);
-        shard.Lock();
-        catalog.Lock();  // Catalog ranks above lock shards.
+        graph.Lock();
+        catalog.Lock();  // Catalog ranks above the waits-for graph.
       },
       "latch-rank violation");
 }
