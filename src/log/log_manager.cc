@@ -391,13 +391,25 @@ Status LogManager::WriteAndSync(const std::vector<uint8_t>& batch) {
       sync_count_.fetch_add(1, std::memory_order_relaxed);
       break;
   }
-  if (options_.device_latency_us > 0) {
-    // Model the commit latency of a slower log device (NVM/SSD study knob;
-    // EXPERIMENTS.md labels numbers produced this way as simulated).
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(options_.device_latency_us));
-  }
   return Status::OK();
+}
+
+void LogManager::InvokeDurableCallback(Lsn durable) {
+  // Invoke the durable callback outside callback_mu_ so a reentrant
+  // SetDurableCallback from inside the callback cannot deadlock;
+  // callback_running_ keeps external (re)registration teardown-safe.
+  std::function<void(Lsn)> callback;
+  {
+    MutexLock lock(&callback_mu_);
+    callback = durable_callback_;
+    callback_running_ = true;
+  }
+  if (callback) callback(durable);
+  {
+    MutexLock lock(&callback_mu_);
+    callback_running_ = false;
+  }
+  callback_cv_.NotifyAll();
 }
 
 void LogManager::FlusherLoop() {
@@ -432,11 +444,16 @@ void LogManager::FlusherLoop() {
     local.clear();
     if (!s.ok()) {
       // Sticky device failure: durable_lsn_ stops here; every waiter (and
-      // every future WaitDurable) gets the error instead of an abort.
+      // every future WaitDurable) gets the error instead of an abort. One
+      // more callback at the unchanged watermark lets a consumer that never
+      // blocks in WaitDurable see io_status().
+      Lsn durable;
       {
         MutexLock lock(&mu_);
         io_status_ = s;
+        durable = durable_lsn_;
       }
+      InvokeDurableCallback(durable);
       break;
     }
     flush_count_.fetch_add(1, std::memory_order_relaxed);
@@ -445,21 +462,7 @@ void LogManager::FlusherLoop() {
       durable_lsn_ = target;
     }
     flushed_cv_.NotifyAll();
-    // Invoke the durable callback outside callback_mu_ so a reentrant
-    // SetDurableCallback from inside the callback cannot deadlock;
-    // callback_running_ keeps external (re)registration teardown-safe.
-    std::function<void(Lsn)> callback;
-    {
-      MutexLock lock(&callback_mu_);
-      callback = durable_callback_;
-      callback_running_ = true;
-    }
-    if (callback) callback(target);
-    {
-      MutexLock lock(&callback_mu_);
-      callback_running_ = false;
-    }
-    callback_cv_.NotifyAll();
+    InvokeDurableCallback(target);
   }
   {
     MutexLock lock(&mu_);

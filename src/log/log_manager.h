@@ -64,9 +64,6 @@ struct LogManagerOptions {
   /// `path`: opening no longer truncates previous segments.
   std::string dir;
   uint64_t flush_interval_us = 50;
-  /// Extra modelled latency injected on every physical flush (legacy NVM /
-  /// SSD model; composes with, but does not substitute for, sync_policy).
-  uint64_t device_latency_us = 0;
   LogSyncPolicy sync_policy = LogSyncPolicy::kNone;
   /// Rotate to a new segment once the current one reaches this size.
   /// 0 = never rotate.
@@ -161,9 +158,11 @@ class LogManager {
 
   /// Registers a callback the flusher invokes (from its own thread, outside
   /// every log mutex) after each successful flush, with the new durable
-  /// LSN. Used for group-commit-aware reply release: the network server
-  /// defers client responses until the commit LSN is durable instead of
-  /// blocking a worker in WaitDurable. The callback may itself call
+  /// LSN, and once more with the unchanged durable LSN when a device error
+  /// parks the flusher (io_status() is the error by then). Used for
+  /// group-commit-aware reply release: the network server defers client
+  /// responses until the commit LSN is durable instead of blocking a worker
+  /// in WaitDurable. The callback may itself call
   /// SetDurableCallback (re-registration is reentrancy-safe); from any
   /// other thread, SetDurableCallback returns only after an in-flight
   /// invocation finishes, making teardown race-free.
@@ -227,7 +226,9 @@ class LogManager {
 
  private:
   void FlusherLoop();
-  /// Rotate-if-needed + append + barrier + modelled latency for one flush.
+  /// Runs the durable callback (if any) on the flusher thread.
+  void InvokeDurableCallback(Lsn durable);
+  /// Rotate-if-needed + append + barrier for one flush.
   Status WriteAndSync(const std::vector<uint8_t>& batch);
   Status OpenSegment(uint64_t index);
 

@@ -42,6 +42,10 @@ constexpr uint64_t kLinkBackoffMaxMs = 1000;
 /// busy-spin bug — the listener is disarmed while backing off).
 constexpr uint64_t kAcceptBackoffMinMs = 10;
 constexpr uint64_t kAcceptBackoffMaxMs = 200;
+/// How long a decided transaction waits for its decision acks before
+/// replying anyway: the decision is already durable, and a slow
+/// participant resolves through in-doubt recovery.
+constexpr uint64_t kAckTimeoutMs = 5000;
 
 /// Wall-clock nanoseconds — deliberately not the monotonic clock: gtids
 /// must stay unique across router restarts, and the monotonic epoch resets
@@ -121,7 +125,7 @@ struct ShardRouter::ShardLink {
   /// attempt keeps stale completions from a dead socket unroutable.
   std::unique_ptr<server::Connection> conn;
   /// FIFO of what each kUp reply frame answers (shard servers reply in
-  /// per-connection request order).
+  /// per-connection arrival order).
   std::deque<Expectation> expect;
   /// Decision acks still owed from in-doubt resolution; -1 until the list
   /// arrives.
@@ -131,9 +135,44 @@ struct ShardRouter::ShardLink {
   uint64_t rng = 0x9e3779b97f4a7c15ull;
 };
 
-/// One event-loop thread: an IoBackend instance plus every session and
-/// shard link it owns. Only the owning thread touches anything outside
-/// `mu`; other threads reach in through the inbox + Wakeup.
+/// One cross-shard kKvRmw: queued for an in-flight slot, then a state
+/// machine its loop drives from votes, acks, durability and timers. Its
+/// reply slot is (session id, ticket), so a session that dies mid-2PC just
+/// drops the result.
+struct ShardRouter::CrossTxn {
+  enum class Phase : uint8_t {
+    kVoting,   // Prepares sent; votes outstanding.
+    kLogging,  // Unanimous yes; the commit record awaits durability.
+    kDecided,  // Decision sent; commit acks or late votes outstanding.
+  };
+
+  uint64_t session_id = 0;
+  uint64_t ticket = 0;
+  uint64_t request_id = 0;
+  /// Per-shard key slices (index == shard id; empty == not a participant).
+  std::vector<std::vector<uint64_t>> shard_keys;
+
+  uint64_t gtid = 0;
+  Phase phase = Phase::kVoting;
+  std::vector<uint32_t> yes_shards;
+  /// Participants whose vote has not arrived. A transaction stays live
+  /// until this empties, so an abort can reach a branch that prepared
+  /// while its vote was stuck behind earlier replies on its link.
+  std::vector<uint32_t> unvoted;
+  uint32_t acks_pending = 0;
+  bool replied = false;
+  /// kVoting: the vote deadline. kDecided: the commit-ack deadline, or
+  /// the next resend of an abort to unvoted participants.
+  uint64_t deadline_ms = 0;
+  Lsn decision_lsn = 0;
+  /// The client's reply status once decided (kOk == commit).
+  StatusCode status = StatusCode::kOk;
+};
+
+/// One event-loop thread: an IoBackend instance plus every session, shard
+/// link and cross-shard transaction it owns. Only the owning thread
+/// touches anything but the atomics and `mu`; other threads reach in
+/// through the inbox + Wakeup.
 struct ShardRouter::RouterLoop {
   uint32_t index = 0;
   std::unique_ptr<io::IoBackend> io;
@@ -141,7 +180,11 @@ struct ShardRouter::RouterLoop {
 
   uint64_t next_id = 1;
   std::unordered_map<uint64_t, std::unique_ptr<server::Connection>> sessions;
-  std::vector<std::unique_ptr<ShardLink>> links;  // index == shard id
+  /// Two links per shard: [0, n) carry forwards, [n, 2n) carry 2PC. A
+  /// shard answers a connection's frames in arrival order, so on a shared
+  /// link a vote could wait behind a forward that spins on the voting
+  /// branch's own locks until the vote timeout breaks the cycle.
+  std::vector<std::unique_ptr<ShardLink>> links;
   std::unordered_map<uint64_t, ShardLink*> links_by_id;
   /// Connections owed a writev at batch end (ids; flush_pending dedupes).
   std::vector<uint64_t> dirty;
@@ -151,17 +194,17 @@ struct ShardRouter::RouterLoop {
   uint64_t accept_rearm_deadline_ms = 0;
   uint64_t accept_backoff_ms = 0;
 
+  /// Live cross-shard transactions by gtid; jobs awaiting an in-flight slot.
+  std::unordered_map<uint64_t, std::unique_ptr<CrossTxn>> txns;
+  std::deque<std::unique_ptr<CrossTxn>> queued;
+  /// kLogging txns and queued.size(), for the threads that decide whom to
+  /// wake (the decision log's callback, a loop freeing a slot).
+  std::atomic<uint32_t> commits_waiting{0};
+  std::atomic<uint32_t> queued_jobs{0};
+
   // Cross-thread inbox, drained on Op::kWakeup.
   Mutex mu;
   std::vector<int> pending_fds GUARDED_BY(mu);
-  std::vector<CoordinatorResult> pending_results GUARDED_BY(mu);
-};
-
-/// One blocking 2PC coordinator thread with its own shard connections
-/// (lazily connected; each connect runs the in-doubt sweep first).
-struct ShardRouter::Coordinator {
-  std::thread thread;
-  std::vector<std::unique_ptr<server::Client>> clients;  // index == shard id
 };
 
 ShardRouter::ShardRouter(ShardRouterOptions options)
@@ -211,9 +254,9 @@ Status ShardRouter::Start() {
     loop->index = i;
     NEXT700_RETURN_IF_ERROR(
         io::CreateIoBackend(options_.io_backend, &loop->io));
-    for (uint32_t s = 0; s < num_shards(); ++s) {
+    for (uint32_t s = 0; s < 2 * num_shards(); ++s) {
       auto link = std::make_unique<ShardLink>();
-      link->shard_id = s;
+      link->shard_id = s % num_shards();
       link->rng ^= i * 2654435761ull + s + 1;
       loop->links.push_back(std::move(link));
     }
@@ -253,17 +296,19 @@ Status ShardRouter::Start() {
     MutexLock lock(&shards_mu_);
     links_up_ = 0;
   }
-  {
-    MutexLock lock(&jobs_mu_);
-    jobs_stopped_ = false;
-  }
-  const int ncoord = std::max(1, options_.coordinator_threads);
-  for (int i = 0; i < ncoord; ++i) {
-    auto coord = std::make_unique<Coordinator>();
-    Coordinator* raw = coord.get();
-    raw->thread = std::thread([this, raw] { CoordinatorRun(raw); });
-    coordinators_.push_back(std::move(coord));
-  }
+  cross_in_flight_.store(0, std::memory_order_relaxed);
+  decision_durable_lsn_.store(decision_log_->durable_lsn());
+  decision_log_failed_.store(false);
+  // The commit point never blocks a loop: the flusher publishes each new
+  // durable watermark (and, once more, a sticky device failure) and wakes
+  // the loops holding commits, which release them from their own thread.
+  decision_log_->SetDurableCallback([this](Lsn durable) {
+    if (!decision_log_->io_status().ok()) decision_log_failed_.store(true);
+    decision_durable_lsn_.store(durable);
+    for (auto& loop : loops_) {
+      if (loop->commits_waiting.load() > 0) loop->io->Wakeup();
+    }
+  });
   for (auto& loop : loops_) {
     RouterLoop* raw = loop.get();
     raw->thread = std::thread([this, raw] { LoopRun(raw); });
@@ -273,23 +318,15 @@ Status ShardRouter::Start() {
 }
 
 void ShardRouter::Stop() {
-  if (loops_.empty() && coordinators_.empty() && listen_fd_ < 0) {
+  if (loops_.empty() && listen_fd_ < 0) {
     if (decision_log_ != nullptr) decision_log_->Close();
     return;
   }
   stop_.store(true, std::memory_order_release);
 
-  // Coordinators first: they post into loop inboxes and Wakeup loop
-  // backends, so the loops (and their backends) must outlive them.
-  {
-    MutexLock lock(&jobs_mu_);
-    jobs_stopped_ = true;
-  }
-  jobs_cv_.NotifyAll();
-  for (auto& coord : coordinators_) {
-    if (coord->thread.joinable()) coord->thread.join();
-  }
-
+  // The durable callback wakes loop backends, so it goes first; this
+  // returns only after an in-flight invocation finished.
+  if (decision_log_ != nullptr) decision_log_->SetDurableCallback(nullptr);
   for (auto& loop : loops_) {
     if (loop->io != nullptr) loop->io->Wakeup();
   }
@@ -319,7 +356,6 @@ void ShardRouter::Stop() {
       MutexLock lock(&loop->mu);
       for (const int fd : loop->pending_fds) ::close(fd);
       loop->pending_fds.clear();
-      loop->pending_results.clear();
     }
     if (loop->io != nullptr) {
       io_syscalls_retired_.fetch_add(
@@ -329,7 +365,10 @@ void ShardRouter::Stop() {
     }
   }
   loops_.clear();
-  coordinators_.clear();
+  {
+    MutexLock lock(&committed_mu_);
+    active_gtids_.clear();
+  }
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -342,7 +381,7 @@ bool ShardRouter::WaitShardsConnected(int64_t timeout_ms) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(timeout_ms);
   const uint32_t target =
-      static_cast<uint32_t>(loops_.size()) * num_shards();
+      static_cast<uint32_t>(loops_.size()) * 2 * num_shards();
   MutexLock lock(&shards_mu_);
   while (links_up_ < target && !stop_.load(std::memory_order_acquire)) {
     const auto now = std::chrono::steady_clock::now();
@@ -368,6 +407,10 @@ void ShardRouter::LoopRun(RouterLoop* loop) {
   std::vector<io::IoEvent> events(kMaxEvents);
   while (!stop_.load(std::memory_order_acquire)) {
     ProcessTimers(loop);
+    if (loop->commits_waiting.load(std::memory_order_relaxed) > 0) {
+      ReleaseDurableCommits(loop);
+    }
+    if (!loop->queued.empty()) StartQueued(loop);
     FlushDirty(loop);
     const int n =
         loop->io->Reap(events.data(), kMaxEvents, ComputeReapTimeout(loop));
@@ -384,28 +427,14 @@ void ShardRouter::LoopRun(RouterLoop* loop) {
           break;
         case io::IoEvent::Op::kRead:
         case io::IoEvent::Op::kWrite: {
-          const uint64_t id = ev.user_data >> 1;
-          const bool is_write = (ev.user_data & 1) != 0;
-          auto sit = loop->sessions.find(id);
-          if (sit != loop->sessions.end()) {
-            server::Connection* conn = sit->second.get();
-            if (is_write) {
-              HandleSessionWrite(loop, conn, ev.result);
-            } else {
-              HandleSessionRead(loop, conn, ev.result);
-            }
-            break;
+          ShardLink* link = nullptr;
+          server::Connection* conn = FindConn(loop, ev.user_data >> 1, &link);
+          if (conn == nullptr) break;  // Stale: already torn down.
+          if ((ev.user_data & 1) != 0) {
+            HandleWrite(loop, conn, link, ev.result);
+          } else {
+            HandleRead(loop, conn, link, ev.result);
           }
-          auto lit = loop->links_by_id.find(id);
-          if (lit != loop->links_by_id.end()) {
-            if (is_write) {
-              HandleLinkWrite(loop, lit->second, ev.result);
-            } else {
-              HandleLinkRead(loop, lit->second, ev.result);
-            }
-          }
-          // Neither: a stale completion for a connection already torn
-          // down. Drop it.
           break;
         }
         case io::IoEvent::Op::kFsync:
@@ -424,6 +453,11 @@ int ShardRouter::ComputeReapTimeout(RouterLoop* loop) const {
   }
   if (loop->index == 0 && !loop->accept_armed) {
     next = std::min(next, loop->accept_rearm_deadline_ms);
+  }
+  for (const auto& [gtid, txn] : loop->txns) {
+    if (txn->phase != CrossTxn::Phase::kLogging) {
+      next = std::min(next, txn->deadline_ms);
+    }
   }
   if (next == UINT64_MAX) return -1;  // Nothing timed; block until an event.
   const uint64_t now = MonotonicMs();
@@ -447,27 +481,61 @@ void ShardRouter::ProcessTimers(RouterLoop* loop) {
       loop->accept_rearm_deadline_ms = now + kAcceptBackoffMaxMs;
     }
   }
+  std::vector<uint64_t> expired;
+  for (const auto& [gtid, txn] : loop->txns) {
+    if (txn->phase != CrossTxn::Phase::kLogging && txn->deadline_ms <= now) {
+      expired.push_back(gtid);
+    }
+  }
+  for (const uint64_t gtid : expired) {
+    auto it = loop->txns.find(gtid);
+    if (it == loop->txns.end()) continue;
+    CrossTxn* txn = it->second.get();
+    if (txn->phase == CrossTxn::Phase::kVoting) {
+      // Presumed abort breaks the cross-shard deadlock of parked prepared
+      // branches. The missing votes stay expected on their links.
+      stats_.vote_timeouts.fetch_add(1, std::memory_order_relaxed);
+      DecideCrossTxn(loop, txn, StatusCode::kDeadlineExceeded);
+    } else if (!txn->replied) {
+      // The commit is durable; a straggler resolves through in-doubt
+      // recovery, so reply without its ack.
+      txn->deadline_ms = now + kAckTimeoutMs;
+      ReplyCrossTxn(loop, txn);
+    } else {
+      // An abort can miss a branch still preparing when it arrived; that
+      // branch parks and its vote may wait behind a reply that needs the
+      // branch's locks. Tell it again.
+      for (const uint32_t shard : txn->unvoted) {
+        SendDecision(loop, TwoPcLink(loop, shard), gtid, false);
+      }
+      txn->deadline_ms = now + kAckTimeoutMs;
+    }
+  }
 }
 
 void ShardRouter::DrainInbox(RouterLoop* loop) {
   std::vector<int> fds;
-  std::vector<CoordinatorResult> results;
   {
     MutexLock lock(&loop->mu);
     fds.swap(loop->pending_fds);
-    results.swap(loop->pending_results);
   }
   for (const int fd : fds) AdoptSession(loop, fd);
-  for (CoordinatorResult& result : results) {
-    auto it = loop->sessions.find(result.session_id);
-    if (it == loop->sessions.end()) continue;  // Session died mid-2PC.
-    it->second->Complete(result.ticket, std::move(result.encoded));
-    ReleaseSessionReplies(loop, it->second.get());
-  }
 }
 
-void ShardRouter::MarkDirty(RouterLoop* loop, uint64_t conn_id) {
-  loop->dirty.push_back(conn_id);
+void ShardRouter::MarkDirty(RouterLoop* loop, server::Connection* conn) {
+  if (conn->flush_pending()) return;
+  conn->set_flush_pending(true);
+  loop->dirty.push_back(conn->id());
+}
+
+void ShardRouter::SendOnLink(RouterLoop* loop, ShardLink* link,
+                             const std::vector<uint8_t>& bytes,
+                             const Expectation& expectation) {
+  link->conn->EnqueueRaw(bytes.data(), bytes.size());
+  link->expect.push_back(expectation);
+  // Everything staged on this link within one reap batch rides the same
+  // gather write — the fast path's syscall budget.
+  MarkDirty(loop, link->conn.get());
 }
 
 void ShardRouter::FlushDirty(RouterLoop* loop) {
@@ -476,22 +544,12 @@ void ShardRouter::FlushDirty(RouterLoop* loop) {
   std::vector<uint64_t> ids;
   ids.swap(loop->dirty);
   for (const uint64_t id : ids) {
-    auto sit = loop->sessions.find(id);
-    if (sit != loop->sessions.end()) {
-      server::Connection* conn = sit->second.get();
-      conn->set_flush_pending(false);
-      if (!conn->write_inflight() && conn->has_pending_writes()) {
-        StartConnWrite(loop, conn);
-      }
-      continue;
-    }
-    auto lit = loop->links_by_id.find(id);
-    if (lit != loop->links_by_id.end()) {
-      ShardLink* link = lit->second;
-      link->conn->set_flush_pending(false);
-      if (!link->conn->write_inflight() && link->conn->has_pending_writes()) {
-        StartConnWrite(loop, link->conn.get());
-      }
+    ShardLink* link = nullptr;
+    server::Connection* conn = FindConn(loop, id, &link);
+    if (conn == nullptr) continue;
+    conn->set_flush_pending(false);
+    if (!conn->write_inflight() && conn->has_pending_writes()) {
+      StartConnWrite(loop, conn);
     }
   }
 }
@@ -502,20 +560,86 @@ void ShardRouter::StartConnWrite(RouterLoop* loop, server::Connection* conn) {
   const Status submitted = loop->io->SubmitWritev(conn->fd(), conn->iov(),
                                                   iovcnt, WriteUd(conn->id()));
   if (!submitted.ok()) {
-    // Surface the failure through the completion path so session close and
-    // link teardown stay in one place.
-    auto lit = loop->links_by_id.find(conn->id());
-    if (lit != loop->links_by_id.end()) {
-      TeardownLink(loop, lit->second);
-    } else {
-      CloseSession(loop, conn->id());
-    }
+    ShardLink* link = nullptr;
+    FindConn(loop, conn->id(), &link);
+    DropConn(loop, conn, link);
     return;
   }
   conn->set_write_inflight(true);
   stats_.writev_batches.fetch_add(1, std::memory_order_relaxed);
   stats_.frames_batched.fetch_add(static_cast<uint64_t>(iovcnt),
                                   std::memory_order_relaxed);
+}
+
+server::Connection* ShardRouter::FindConn(RouterLoop* loop, uint64_t id,
+                                          ShardLink** link) {
+  *link = nullptr;
+  if (auto sit = loop->sessions.find(id); sit != loop->sessions.end()) {
+    return sit->second.get();
+  }
+  auto lit = loop->links_by_id.find(id);
+  if (lit == loop->links_by_id.end()) return nullptr;
+  *link = lit->second;
+  return lit->second->conn.get();
+}
+
+void ShardRouter::DropConn(RouterLoop* loop, server::Connection* conn,
+                           ShardLink* link) {
+  if (link != nullptr) {
+    TeardownLink(loop, link);
+  } else {
+    CloseSession(loop, conn->id());
+  }
+}
+
+void ShardRouter::StartRead(RouterLoop* loop, server::Connection* conn,
+                            ShardLink* link) {
+  uint8_t* buf = conn->EnsureReadBuffer(kReadBufBytes);
+  if (!loop->io->SubmitRead(conn->fd(), buf, kReadBufBytes, ReadUd(conn->id()))
+           .ok()) {
+    DropConn(loop, conn, link);
+    return;
+  }
+  conn->set_read_inflight(true);
+}
+
+void ShardRouter::HandleRead(RouterLoop* loop, server::Connection* conn,
+                             ShardLink* link, int32_t result) {
+  conn->set_read_inflight(false);
+  if (result == -EAGAIN || result == -EINTR) {
+    StartRead(loop, conn, link);
+  } else if (result == 0 && link == nullptr) {
+    // Session EOF: drain what is buffered, then close once every admitted
+    // request has been answered and written.
+    conn->set_draining();
+    if (DrainSessionFrames(loop, conn)) MaybeCloseDrained(loop, conn);
+  } else if (result <= 0) {
+    DropConn(loop, conn, link);
+  } else {
+    conn->decoder()->Feed(conn->read_buf(), static_cast<size_t>(result));
+    // Draining returns false when it closed the session or tore the link.
+    if (link != nullptr ? DrainLinkFrames(loop, link)
+                        : DrainSessionFrames(loop, conn)) {
+      StartRead(loop, conn, link);
+    }
+  }
+}
+
+void ShardRouter::HandleWrite(RouterLoop* loop, server::Connection* conn,
+                              ShardLink* link, int32_t result) {
+  conn->set_write_inflight(false);
+  if (result < 0 && result != -EAGAIN && result != -EINTR) {
+    DropConn(loop, conn, link);
+    return;
+  }
+  if (result > 0) conn->ConsumeWritten(static_cast<size_t>(result));
+  if (conn->has_pending_writes()) {
+    StartConnWrite(loop, conn);  // Short write or retry: resume the rest.
+  } else if (link == nullptr) {
+    MaybeCloseDrained(loop, conn);
+  } else if (result >= 0 && !conn->read_inflight()) {
+    StartRead(loop, conn, link);  // A link reads once its first write lands.
+  }
 }
 
 // --- Accept path ---------------------------------------------------------
@@ -562,66 +686,10 @@ void ShardRouter::AdoptSession(RouterLoop* loop, int fd) {
   server::Connection* raw = conn.get();
   loop->sessions.emplace(id, std::move(conn));
   stats_.sessions_accepted.fetch_add(1, std::memory_order_relaxed);
-  StartSessionRead(loop, raw);
+  StartRead(loop, raw, nullptr);
 }
 
 // --- Client sessions -----------------------------------------------------
-
-void ShardRouter::StartSessionRead(RouterLoop* loop,
-                                   server::Connection* conn) {
-  uint8_t* buf = conn->EnsureReadBuffer(kReadBufBytes);
-  const Status submitted =
-      loop->io->SubmitRead(conn->fd(), buf, kReadBufBytes, ReadUd(conn->id()));
-  if (!submitted.ok()) {
-    CloseSession(loop, conn->id());
-    return;
-  }
-  conn->set_read_inflight(true);
-}
-
-void ShardRouter::HandleSessionRead(RouterLoop* loop,
-                                    server::Connection* conn,
-                                    int32_t result) {
-  conn->set_read_inflight(false);
-  if (result == 0) {
-    // Peer EOF: drain what is buffered, then close once every admitted
-    // request has been answered and written.
-    conn->set_draining();
-    if (DrainSessionFrames(loop, conn)) MaybeCloseDrained(loop, conn);
-    return;
-  }
-  if (result < 0) {
-    if (result == -EAGAIN || result == -EINTR) {
-      StartSessionRead(loop, conn);
-      return;
-    }
-    CloseSession(loop, conn->id());
-    return;
-  }
-  conn->decoder()->Feed(conn->read_buf(), static_cast<size_t>(result));
-  if (!DrainSessionFrames(loop, conn)) return;
-  StartSessionRead(loop, conn);
-}
-
-void ShardRouter::HandleSessionWrite(RouterLoop* loop,
-                                     server::Connection* conn,
-                                     int32_t result) {
-  conn->set_write_inflight(false);
-  if (result < 0) {
-    if (result == -EAGAIN || result == -EINTR) {
-      if (conn->has_pending_writes()) StartConnWrite(loop, conn);
-      return;
-    }
-    CloseSession(loop, conn->id());
-    return;
-  }
-  conn->ConsumeWritten(static_cast<size_t>(result));
-  if (conn->has_pending_writes()) {
-    StartConnWrite(loop, conn);  // Short write: resume the remainder.
-    return;
-  }
-  MaybeCloseDrained(loop, conn);
-}
 
 bool ShardRouter::DrainSessionFrames(RouterLoop* loop,
                                      server::Connection* conn) {
@@ -646,10 +714,7 @@ bool ShardRouter::DrainSessionFrames(RouterLoop* loop,
       std::vector<uint8_t> ack;
       server::EncodeHelloAck(server::HelloAck{}, &ack);
       conn->EnqueueRaw(ack.data(), ack.size());
-      if (!conn->flush_pending()) {
-        conn->set_flush_pending(true);
-        MarkDirty(loop, conn->id());
-      }
+      MarkDirty(loop, conn);
       continue;
     }
     if (frame.type != FrameType::kRequest) {
@@ -678,16 +743,13 @@ void ShardRouter::CloseSession(RouterLoop* loop, uint64_t session_id) {
   ::close(conn->fd());
   loop->sessions.erase(it);
   stats_.sessions_closed.fetch_add(1, std::memory_order_relaxed);
-  // Link expectations and in-flight coordinator jobs that still name this
+  // Link expectations and cross-shard transactions that still name this
   // session id resolve to nothing at lookup time — no dangling state.
 }
 
 void ShardRouter::ReleaseSessionReplies(RouterLoop* loop,
                                         server::Connection* conn) {
-  if (conn->FlushOrdered() > 0 && !conn->flush_pending()) {
-    conn->set_flush_pending(true);
-    MarkDirty(loop, conn->id());
-  }
+  if (conn->FlushOrdered() > 0) MarkDirty(loop, conn);
   MaybeCloseDrained(loop, conn);
 }
 
@@ -750,29 +812,15 @@ void ShardRouter::RouteRequest(RouterLoop* loop, server::Connection* conn,
     StageForward(loop, conn, ticket, single, frame, request.request_id);
     return;
   }
-  // Cross-shard: hand the 2PC run to the coordinator pool — the event loop
-  // never blocks on votes. The reply comes back through this loop's inbox
-  // and the session's reorder buffer slots it into request order.
-  CrossShardJob job;
-  job.loop_index = loop->index;
-  job.session_id = conn->id();
-  job.ticket = ticket;
-  job.request_id = request.request_id;
-  job.shard_keys = std::move(shard_keys);
-  bool queued = false;
-  {
-    MutexLock lock(&jobs_mu_);
-    if (!jobs_stopped_) {
-      jobs_.push_back(std::move(job));
-      queued = true;
-    }
-  }
-  if (queued) {
-    jobs_cv_.NotifyOne();
-  } else {
-    ReplyError(loop, conn, ticket, request.request_id,
-               StatusCode::kUnavailable);
-  }
+  // Cross-shard: a 2PC on this loop, once the in-flight budget has room.
+  // The session's reorder buffer slots its reply into request order.
+  auto txn = std::make_unique<CrossTxn>();
+  txn->session_id = conn->id();
+  txn->ticket = ticket;
+  txn->request_id = request.request_id;
+  txn->shard_keys = std::move(shard_keys);
+  loop->queued.push_back(std::move(txn));
+  StartQueued(loop);
 }
 
 void ShardRouter::StageForward(RouterLoop* loop, server::Connection* conn,
@@ -789,18 +837,11 @@ void ShardRouter::StageForward(RouterLoop* loop, server::Connection* conn,
   }
   std::vector<uint8_t> bytes;
   AppendFrame(frame.type, frame.body, frame.body_len, &bytes);
-  link->conn->EnqueueRaw(bytes.data(), bytes.size());
   Expectation expectation;
   expectation.session_id = conn->id();
   expectation.ticket = ticket;
   expectation.request_id = request_id;
-  link->expect.push_back(expectation);
-  if (!link->conn->flush_pending()) {
-    // Every forward staged on this link within one reap batch rides the
-    // same gather write — the fast path's syscall budget.
-    link->conn->set_flush_pending(true);
-    MarkDirty(loop, link->conn->id());
-  }
+  SendOnLink(loop, link, bytes, expectation);
   stats_.forwarded.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -846,61 +887,7 @@ void ShardRouter::StartConnectLink(RouterLoop* loop, ShardLink* link) {
   server::EncodeHello(hello, &bytes);
   server::EncodeInDoubtQuery(&bytes);
   link->conn->EnqueueRaw(bytes.data(), bytes.size());
-  link->conn->set_flush_pending(true);
-  MarkDirty(loop, id);
-}
-
-void ShardRouter::StartLinkRead(RouterLoop* loop, ShardLink* link) {
-  server::Connection* conn = link->conn.get();
-  uint8_t* buf = conn->EnsureReadBuffer(kReadBufBytes);
-  const Status submitted =
-      loop->io->SubmitRead(conn->fd(), buf, kReadBufBytes, ReadUd(conn->id()));
-  if (!submitted.ok()) {
-    TeardownLink(loop, link);
-    return;
-  }
-  conn->set_read_inflight(true);
-}
-
-void ShardRouter::HandleLinkWrite(RouterLoop* loop, ShardLink* link,
-                                  int32_t result) {
-  server::Connection* conn = link->conn.get();
-  conn->set_write_inflight(false);
-  if (result < 0) {
-    if (result == -EAGAIN || result == -EINTR) {
-      if (conn->has_pending_writes()) StartConnWrite(loop, conn);
-      return;
-    }
-    TeardownLink(loop, link);
-    return;
-  }
-  conn->ConsumeWritten(static_cast<size_t>(result));
-  if (conn->has_pending_writes()) {
-    StartConnWrite(loop, conn);
-    if (link->conn == nullptr) return;  // Submit failure tore the link down.
-  }
-  if (!conn->read_inflight()) StartLinkRead(loop, link);
-}
-
-void ShardRouter::HandleLinkRead(RouterLoop* loop, ShardLink* link,
-                                 int32_t result) {
-  server::Connection* conn = link->conn.get();
-  conn->set_read_inflight(false);
-  if (result == 0) {
-    TeardownLink(loop, link);
-    return;
-  }
-  if (result < 0) {
-    if (result == -EAGAIN || result == -EINTR) {
-      StartLinkRead(loop, link);
-      return;
-    }
-    TeardownLink(loop, link);
-    return;
-  }
-  conn->decoder()->Feed(conn->read_buf(), static_cast<size_t>(result));
-  if (!DrainLinkFrames(loop, link)) return;  // Torn down mid-drain.
-  StartLinkRead(loop, link);
+  MarkDirty(loop, link->conn.get());
 }
 
 bool ShardRouter::DrainLinkFrames(RouterLoop* loop, ShardLink* link) {
@@ -915,7 +902,7 @@ bool ShardRouter::DrainLinkFrames(RouterLoop* loop, ShardLink* link) {
     const std::vector<uint8_t> body(frame.body, frame.body + frame.body_len);
     bool alive;
     if (link->state == ShardLink::State::kUp) {
-      alive = HandleLinkForwardReply(loop, link, frame.type, body);
+      alive = HandleLinkReply(loop, link, frame.type, body);
     } else {
       alive = HandleLinkHandshakeFrame(loop, link, frame.type, body);
     }
@@ -945,31 +932,15 @@ bool ShardRouter::HandleLinkHandshakeFrame(RouterLoop* loop, ShardLink* link,
       TeardownLink(loop, link);
       return false;
     }
-    int sent = 0;
-    std::vector<uint8_t> enc;
+    link->resolve_pending = 0;
     for (const uint64_t gtid : list.gtids) {
       bool commit = false;
       bool skip = false;
       ClassifyInDoubt(gtid, &commit, &skip);
-      if (skip) continue;  // A live coordinator thread owns this outcome.
-      server::Decision decision;
-      decision.gtid = gtid;
-      enc.clear();
-      server::EncodeDecision(commit ? FrameType::kCommitDecision
-                                    : FrameType::kAbortDecision,
-                             decision, &enc);
-      link->conn->EnqueueRaw(enc.data(), enc.size());
-      ++sent;
+      // A skipped gtid's outcome belongs to a live transaction.
+      if (!skip) SendDecision(loop, link, gtid, commit);
     }
-    link->resolve_pending = sent;
-    if (sent == 0) {
-      LinkUp(loop, link);
-      return true;
-    }
-    if (!link->conn->flush_pending()) {
-      link->conn->set_flush_pending(true);
-      MarkDirty(loop, link->conn->id());
-    }
+    if (link->resolve_pending == 0) LinkUp(loop, link);
     return true;
   }
   server::DecisionAck ack;
@@ -983,23 +954,33 @@ bool ShardRouter::HandleLinkHandshakeFrame(RouterLoop* loop, ShardLink* link,
   return true;
 }
 
-bool ShardRouter::HandleLinkForwardReply(RouterLoop* loop, ShardLink* link,
-                                         FrameType type,
-                                         const std::vector<uint8_t>& body) {
-  if (link->expect.empty() || type != FrameType::kResponse) {
-    // A reply nothing asked for (or the wrong kind): the FIFO contract is
-    // broken and the stream can no longer be paired up.
+bool ShardRouter::HandleLinkReply(RouterLoop* loop, ShardLink* link,
+                                  FrameType type,
+                                  const std::vector<uint8_t>& body) {
+  server::Vote vote;
+  if (link->expect.empty() || type != link->expect.front().reply ||
+      (type == FrameType::kVote &&
+       (!server::DecodeVote(body.data(), body.size(), &vote).ok() ||
+        vote.gtid != link->expect.front().gtid))) {
+    // A reply nothing asked for (or the wrong kind): the stream can no
+    // longer be paired up. The unmatched expectation fails with the link.
     TeardownLink(loop, link);
     return false;
   }
   const Expectation e = link->expect.front();
   link->expect.pop_front();
-  auto it = loop->sessions.find(e.session_id);
-  if (it == loop->sessions.end()) return true;  // Session already closed.
-  std::vector<uint8_t> out;
-  AppendFrame(type, body.data(), body.size(), &out);
-  it->second->Complete(e.ticket, std::move(out));
-  ReleaseSessionReplies(loop, it->second.get());
+  if (type == FrameType::kVote) {
+    HandleVote(loop, link, vote);
+  } else if (type == FrameType::kDecisionAck) {
+    HandleAck(loop, e.gtid);
+  } else {
+    auto it = loop->sessions.find(e.session_id);
+    if (it == loop->sessions.end()) return true;  // Session already closed.
+    std::vector<uint8_t> out;
+    AppendFrame(type, body.data(), body.size(), &out);
+    it->second->Complete(e.ticket, std::move(out));
+    ReleaseSessionReplies(loop, it->second.get());
+  }
   return true;
 }
 
@@ -1036,51 +1017,30 @@ void ShardRouter::TeardownLink(RouterLoop* loop, ShardLink* link) {
   link->retry_deadline_ms =
       MonotonicMs() + half + XorShift64(&link->rng) % (half + 1);
   for (const Expectation& e : orphans) {
-    auto it = loop->sessions.find(e.session_id);
-    if (it == loop->sessions.end()) continue;
-    ReplyError(loop, it->second.get(), e.ticket, e.request_id,
-               StatusCode::kUnavailable);
+    if (e.reply == FrameType::kResponse) {
+      auto it = loop->sessions.find(e.session_id);
+      if (it == loop->sessions.end()) continue;
+      ReplyError(loop, it->second.get(), e.ticket, e.request_id,
+                 StatusCode::kUnavailable);
+    } else if (e.reply == FrameType::kDecisionAck) {
+      // The reconnect's in-doubt sweep replays the decision.
+      HandleAck(loop, e.gtid);
+    } else {
+      // A lost vote is a failed vote. Aborting now also takes the gtid out
+      // of the active set before this link redials, so the reconnect's
+      // sweep presume-aborts the branch if the shard prepared it.
+      CrossTxn* txn = loop->txns.at(e.gtid).get();
+      std::erase(txn->unvoted, link->shard_id);
+      if (txn->phase == CrossTxn::Phase::kVoting) {
+        DecideCrossTxn(loop, txn, StatusCode::kUnavailable);
+      } else {
+        MaybeRetireCrossTxn(loop, txn);
+      }
+    }
   }
 }
 
-// --- Coordinator pool ----------------------------------------------------
-
-void ShardRouter::CoordinatorRun(Coordinator* coord) {
-  coord->clients.resize(num_shards());
-  for (;;) {
-    CrossShardJob job;
-    {
-      MutexLock lock(&jobs_mu_);
-      while (jobs_.empty() && !jobs_stopped_) jobs_cv_.Wait(&jobs_mu_);
-      if (jobs_stopped_) break;  // Queued jobs die with the sessions.
-      job = std::move(jobs_.front());
-      jobs_.pop_front();
-    }
-    RunCrossShard(coord, job);
-  }
-  for (auto& client : coord->clients) {
-    if (client != nullptr) client->Close();
-  }
-}
-
-Status ShardRouter::RecvFrameSliced(server::Client* client, FrameType* type,
-                                    std::vector<uint8_t>* body,
-                                    int64_t deadline_ms) {
-  for (;;) {
-    if (stop_.load(std::memory_order_acquire)) {
-      return Status::Unavailable("router stopping");
-    }
-    const uint64_t now = MonotonicMs();
-    if (static_cast<int64_t>(now) >= deadline_ms) {
-      return Status::DeadlineExceeded("frame wait timed out");
-    }
-    // Short slices keep Stop() prompt even mid-vote-wait.
-    const int64_t slice =
-        std::min<int64_t>(100, deadline_ms - static_cast<int64_t>(now));
-    const Status s = client->RecvFrame(type, body, slice);
-    if (!s.IsDeadlineExceeded()) return s;
-  }
-}
+// --- Cross-shard 2PC -----------------------------------------------------
 
 void ShardRouter::ClassifyInDoubt(uint64_t gtid, bool* commit, bool* skip) {
   MutexLock lock(&committed_mu_);
@@ -1092,94 +1052,68 @@ void ShardRouter::ClassifyInDoubt(uint64_t gtid, bool* commit, bool* skip) {
   *skip = !*commit && active_gtids_.count(gtid) != 0;
 }
 
-bool ShardRouter::EnsureShardClient(Coordinator* coord, uint32_t shard_id) {
-  auto& client = coord->clients[shard_id];
-  if (client == nullptr) client = std::make_unique<server::Client>();
-  if (client->connected()) return true;
-  if (stop_.load(std::memory_order_acquire)) return false;
-  const auto& [host, shard_port] = shard_addrs_[shard_id];
-  if (!client->Connect(host, shard_port, PeerRole::kCoordinator).ok()) {
-    client->Close();
-    return false;
-  }
-  // Resolve the shard's in-doubt backlog before using the connection; the
-  // stream carries nothing else yet, so the replies are unambiguous. This
-  // is also what un-parks a prepared branch orphaned by a vote timeout.
-  if (!ResolveInDoubtOn(client.get()).ok()) {
-    client->Close();
-    return false;
-  }
-  return true;
+ShardRouter::ShardLink* ShardRouter::TwoPcLink(RouterLoop* loop,
+                                               uint32_t shard) {
+  return loop->links[num_shards() + shard].get();
 }
 
-Status ShardRouter::ResolveInDoubtOn(server::Client* client) {
-  std::vector<uint8_t> enc;
-  server::EncodeInDoubtQuery(&enc);
-  NEXT700_RETURN_IF_ERROR(client->SendRaw(enc.data(), enc.size()));
-  FrameType type;
-  std::vector<uint8_t> body;
-  NEXT700_RETURN_IF_ERROR(RecvFrameSliced(
-      client, &type, &body, static_cast<int64_t>(MonotonicMs()) + 5000));
-  if (type != FrameType::kInDoubtList) {
-    return Status::InvalidArgument("shard answered in-doubt query with frame " +
-                                   std::to_string(static_cast<int>(type)));
-  }
-  server::InDoubtList list;
-  NEXT700_RETURN_IF_ERROR(
-      server::DecodeInDoubtList(body.data(), body.size(), &list));
-  for (const uint64_t gtid : list.gtids) {
-    bool commit = false;
-    bool skip = false;
-    ClassifyInDoubt(gtid, &commit, &skip);
-    if (skip) continue;  // A live coordinator thread owns this outcome.
-    server::Decision decision;
-    decision.gtid = gtid;
-    enc.clear();
-    server::EncodeDecision(
-        commit ? FrameType::kCommitDecision : FrameType::kAbortDecision,
-        decision, &enc);
-    NEXT700_RETURN_IF_ERROR(client->SendRaw(enc.data(), enc.size()));
-    NEXT700_RETURN_IF_ERROR(RecvFrameSliced(
-        client, &type, &body, static_cast<int64_t>(MonotonicMs()) + 5000));
-    server::DecisionAck ack;
-    if (type != FrameType::kDecisionAck ||
-        !server::DecodeDecisionAck(body.data(), body.size(), &ack).ok()) {
-      return Status::InvalidArgument("bad decision ack during resolution");
+void ShardRouter::StartQueued(RouterLoop* loop) {
+  // Publish the queue before taking a slot: a loop that frees one either
+  // sees this count and wakes us, or freed it before our attempt below.
+  loop->queued_jobs.store(static_cast<uint32_t>(loop->queued.size()));
+  const int budget = std::max(1, options_.coordinator_threads);
+  while (!loop->queued.empty()) {
+    // One vote in flight per 2PC link: a shard answers in arrival order,
+    // so a later prepare's vote could wait behind an earlier prepare that
+    // spins on the later one's locks. A vote's arrival restarts the queue.
+    for (uint32_t shard = 0; shard < num_shards(); ++shard) {
+      const std::deque<Expectation>& expect = TwoPcLink(loop, shard)->expect;
+      if (!loop->queued.front()->shard_keys[shard].empty() &&
+          std::any_of(expect.begin(), expect.end(), [](const Expectation& e) {
+            return e.reply == FrameType::kVote;
+          })) {
+        loop->queued_jobs.store(static_cast<uint32_t>(loop->queued.size()));
+        return;
+      }
     }
-    stats_.resolved_in_doubt.fetch_add(1, std::memory_order_relaxed);
+    int in_flight = cross_in_flight_.load();
+    if (in_flight >= budget) break;
+    if (!cross_in_flight_.compare_exchange_weak(in_flight, in_flight + 1)) {
+      continue;
+    }
+    CrossTxn* txn = loop->queued.front().get();
+    txn->gtid = NextGtid();
+    txn->deadline_ms = MonotonicMs() + static_cast<uint64_t>(std::max<int64_t>(
+                                           0, options_.vote_timeout_ms));
+    loop->txns.emplace(txn->gtid, std::move(loop->queued.front()));
+    loop->queued.pop_front();
+    StartCrossTxn(loop, txn);
   }
-  return Status::OK();
+  loop->queued_jobs.store(static_cast<uint32_t>(loop->queued.size()));
 }
 
-void ShardRouter::RunCrossShard(Coordinator* coord, const CrossShardJob& job) {
-  const uint64_t gtid = NextGtid();
+void ShardRouter::StartCrossTxn(RouterLoop* loop, CrossTxn* txn) {
+  for (uint32_t shard = 0; shard < num_shards(); ++shard) {
+    if (!txn->shard_keys[shard].empty() &&
+        TwoPcLink(loop, shard)->state != ShardLink::State::kUp) {
+      DecideCrossTxn(loop, txn, StatusCode::kUnavailable);  // Nothing sent.
+      return;
+    }
+  }
   {
     // Claim the gtid before any prepare leaves: a link's concurrent
     // in-doubt sweep must skip it, not presume abort.
     MutexLock lock(&committed_mu_);
-    active_gtids_.insert(gtid);
+    active_gtids_.insert(txn->gtid);
   }
-
-  std::vector<uint32_t> participants;
-  for (uint32_t shard = 0; shard < job.shard_keys.size(); ++shard) {
-    if (!job.shard_keys[shard].empty()) participants.push_back(shard);
-  }
-
   // Phase one: one Prepare per participating shard, carrying that shard's
   // slice of the key set (kKvRmw argument encoding) and the global
   // partition ids those keys map to.
-  bool any_no = false;
-  StatusCode fail_code = StatusCode::kOk;
-  std::vector<uint32_t> prepared;
-  for (const uint32_t shard : participants) {
-    if (!EnsureShardClient(coord, shard)) {
-      any_no = true;
-      if (fail_code == StatusCode::kOk) fail_code = StatusCode::kUnavailable;
-      continue;
-    }
-    const std::vector<uint64_t>& keys = job.shard_keys[shard];
+  for (uint32_t shard = 0; shard < num_shards(); ++shard) {
+    const std::vector<uint64_t>& keys = txn->shard_keys[shard];
+    if (keys.empty()) continue;
     server::Prepare prepare;
-    prepare.gtid = gtid;
+    prepare.gtid = txn->gtid;
     prepare.proc_id = server::kKvRmw;
     for (const uint64_t key : keys) {
       prepare.partitions.push_back(
@@ -1194,166 +1128,173 @@ void ShardRouter::RunCrossShard(Coordinator* coord, const CrossShardJob& job) {
     for (const uint64_t key : keys) args.PutU64(key);
     std::vector<uint8_t> bytes;
     server::EncodePrepare(prepare, &bytes);
-    if (coord->clients[shard]->SendRaw(bytes.data(), bytes.size()).ok()) {
-      prepared.push_back(shard);
-    } else {
-      coord->clients[shard]->Close();
-      any_no = true;
-      if (fail_code == StatusCode::kOk) fail_code = StatusCode::kUnavailable;
-    }
+    Expectation expectation;
+    expectation.reply = FrameType::kVote;
+    expectation.gtid = txn->gtid;
+    SendOnLink(loop, TwoPcLink(loop, shard), bytes, expectation);
+    txn->unvoted.push_back(shard);
   }
+}
 
-  if (options_.crash_after_prepares_sent > 0 && !prepared.empty() &&
-      cross_shard_started_.fetch_add(1, std::memory_order_relaxed) + 1 ==
-          options_.crash_after_prepares_sent) {
-    // Coordinator crash window: prepares are out, the decision is not
-    // logged. Participants are left in doubt; recovery must abort this
-    // gtid (presumed abort) without losing anything acked.
+void ShardRouter::HandleVote(RouterLoop* loop, ShardLink* link,
+                             const server::Vote& vote) {
+  // A transaction stays live while any vote expectation names it.
+  auto it = loop->txns.find(vote.gtid);
+  NEXT700_CHECK(it != loop->txns.end());
+  CrossTxn* txn = it->second.get();
+  std::erase(txn->unvoted, link->shard_id);
+  if (txn->phase != CrossTxn::Phase::kVoting) {
+    // A late vote: its transaction already aborted (deadline or another
+    // shard's no). A yes-voter stays parked until told, so tell it now.
+    if (vote.status == StatusCode::kOk) {
+      SendDecision(loop, link, vote.gtid, /*commit=*/false);
+    }
+    MaybeRetireCrossTxn(loop, txn);
+    return;
+  }
+  if (vote.status != StatusCode::kOk) {
+    // The no-voter already rolled back; presumed abort needs no message.
+    DecideCrossTxn(loop, txn, vote.status);
+    return;
+  }
+  txn->yes_shards.push_back(link->shard_id);
+  if (!txn->unvoted.empty()) return;
+  if (options_.crash_after_votes_collected > 0 &&
+      votes_collected_.fetch_add(1, std::memory_order_relaxed) + 1 ==
+          options_.crash_after_votes_collected) {
+    // Coordinator crash window: every branch is prepared, the decision is
+    // not logged. Participants are left in doubt; recovery must abort
+    // this gtid (presumed abort) without losing anything acked.
     std::fflush(nullptr);
     ::_exit(42);
   }
-
-  // Collect votes in send order under one absolute deadline (each client
-  // is exclusively this thread's, so the per-connection FIFO pairs votes
-  // with prepares). A client whose vote never arrived is closed — its
-  // stream still owes a frame and could not be paired afterwards.
-  const int64_t vote_deadline =
-      static_cast<int64_t>(MonotonicMs()) + options_.vote_timeout_ms;
-  std::vector<uint32_t> yes_shards;
-  bool timed_out = false;
-  for (const uint32_t shard : prepared) {
-    FrameType type;
-    std::vector<uint8_t> body;
-    const Status s =
-        RecvFrameSliced(coord->clients[shard].get(), &type, &body,
-                        vote_deadline);
-    if (!s.ok()) {
-      coord->clients[shard]->Close();
-      any_no = true;
-      if (s.IsDeadlineExceeded()) timed_out = true;
-      if (fail_code == StatusCode::kOk) {
-        fail_code = s.IsDeadlineExceeded() ? StatusCode::kDeadlineExceeded
-                                           : StatusCode::kUnavailable;
-      }
-      continue;
-    }
-    server::Vote vote;
-    if (type != FrameType::kVote ||
-        !server::DecodeVote(body.data(), body.size(), &vote).ok() ||
-        vote.gtid != gtid) {
-      coord->clients[shard]->Close();
-      any_no = true;
-      if (fail_code == StatusCode::kOk) fail_code = StatusCode::kUnavailable;
-      continue;
-    }
-    if (vote.status == StatusCode::kOk) {
-      yes_shards.push_back(shard);
-    } else {
-      any_no = true;
-      if (fail_code == StatusCode::kOk) fail_code = vote.status;
-    }
-  }
-  if (timed_out) {
-    stats_.vote_timeouts.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  bool commit = !any_no;
-  uint64_t decision_lsn = 0;
-  if (commit) {
-    // The commit point: the decision is durable in the coordinator log
-    // before any reply or decision frame leaves this process. Aborts are
-    // never logged (presumed abort).
-    uint8_t decision_body[8];
-    server::StoreLE64(gtid, decision_body);
-    decision_lsn = decision_log_->Append(LogRecordType::kCoordDecision,
-                                         decision_body, sizeof(decision_body));
-    const Status durable = decision_log_->WaitDurable(decision_lsn);
-    if (!durable.ok()) {
-      // Decision log device failure: we cannot claim the commit point, and
-      // we must not commit without it. Abort instead.
-      commit = false;
-      fail_code = durable.code();
-    } else {
-      MutexLock lock(&committed_mu_);
-      committed_.insert(gtid);
-    }
-  }
-
-  // Phase two: decisions to every shard that voted yes (the others already
-  // rolled back when they voted no — presumed abort needs no message, but
-  // a yes-voter is parked until told). Acks are awaited (bounded) so a
-  // committed transaction is visible on every participant before the
-  // client hears about it; a straggler resolves through in-doubt recovery.
-  server::Decision decision;
-  decision.gtid = gtid;
-  std::vector<uint8_t> decision_bytes;
-  server::EncodeDecision(
-      commit ? FrameType::kCommitDecision : FrameType::kAbortDecision,
-      decision, &decision_bytes);
-  const int64_t ack_deadline =
-      static_cast<int64_t>(MonotonicMs()) + options_.ack_timeout_ms;
-  for (const uint32_t shard : yes_shards) {
-    server::Client* client = coord->clients[shard].get();
-    if (!client->SendRaw(decision_bytes.data(), decision_bytes.size()).ok()) {
-      client->Close();  // In-doubt recovery replays the decision later.
-      continue;
-    }
-    FrameType type;
-    std::vector<uint8_t> body;
-    const Status s = RecvFrameSliced(client, &type, &body, ack_deadline);
-    server::DecisionAck ack;
-    if (!s.ok() || type != FrameType::kDecisionAck ||
-        !server::DecodeDecisionAck(body.data(), body.size(), &ack).ok()) {
-      client->Close();
-      continue;
-    }
-  }
-
-  {
-    MutexLock lock(&committed_mu_);
-    active_gtids_.erase(gtid);
-  }
-
-  // Reconnect (with in-doubt sweep) any participant we closed above: a
-  // branch that voted yes after the deadline is parked prepared, and the
-  // sweep's presumed abort is what unwinds it now rather than at the next
-  // cross-shard transaction.
-  if (!stop_.load(std::memory_order_acquire)) {
-    for (const uint32_t shard : participants) {
-      auto& client = coord->clients[shard];
-      if (client != nullptr && client->connected()) continue;
-      EnsureShardClient(coord, shard);  // Best effort.
-    }
-  }
-
-  if (commit) {
-    stats_.cross_shard_commits.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    stats_.cross_shard_aborts.fetch_add(1, std::memory_order_relaxed);
-  }
-  server::Response response;
-  response.request_id = job.request_id;
-  response.status = commit ? StatusCode::kOk
-                           : (fail_code == StatusCode::kOk
-                                  ? StatusCode::kAborted
-                                  : fail_code);
-  response.commit_lsn = decision_lsn;
-  CoordinatorResult result;
-  result.session_id = job.session_id;
-  result.ticket = job.ticket;
-  server::EncodeResponse(response, &result.encoded);
-  PostResult(job.loop_index, std::move(result));
+  // The commit point: the decision is durable in the coordinator log
+  // before any reply or commit decision leaves this process (aborts are
+  // never logged — presumed abort). The durable callback wakes this loop.
+  uint8_t decision_body[8];
+  server::StoreLE64(txn->gtid, decision_body);
+  txn->decision_lsn = decision_log_->Append(
+      LogRecordType::kCoordDecision, decision_body, sizeof(decision_body));
+  txn->phase = CrossTxn::Phase::kLogging;
+  loop->commits_waiting.fetch_add(1);
 }
 
-void ShardRouter::PostResult(uint32_t loop_index, CoordinatorResult result) {
-  // Stop() joins the coordinator pool before the loops, so the target loop
-  // and its backend are alive for the Wakeup even mid-shutdown.
-  RouterLoop* loop = loops_[loop_index].get();
-  {
-    MutexLock lock(&loop->mu);
-    loop->pending_results.push_back(std::move(result));
+void ShardRouter::ReleaseDurableCommits(RouterLoop* loop) {
+  const Lsn durable = decision_durable_lsn_.load();
+  const bool failed = decision_log_failed_.load();
+  std::vector<CrossTxn*> ready;
+  for (const auto& [gtid, txn] : loop->txns) {
+    if (txn->phase == CrossTxn::Phase::kLogging &&
+        (txn->decision_lsn <= durable || failed)) {
+      ready.push_back(txn.get());
+    }
   }
-  loop->io->Wakeup();
+  for (CrossTxn* txn : ready) {
+    loop->commits_waiting.fetch_sub(1);
+    // A failed decision log cannot hold the commit point, and there is no
+    // commit without it: abort instead.
+    DecideCrossTxn(loop, txn,
+                   txn->decision_lsn <= durable ? StatusCode::kOk
+                                                : StatusCode::kIOError);
+  }
+}
+
+void ShardRouter::DecideCrossTxn(RouterLoop* loop, CrossTxn* txn,
+                                 StatusCode status) {
+  const bool commit = status == StatusCode::kOk;
+  txn->status = status;
+  {
+    MutexLock lock(&committed_mu_);
+    if (commit) committed_.insert(txn->gtid);
+    active_gtids_.erase(txn->gtid);
+  }
+  // Phase two: the decision to every shard that voted yes. Commit acks are
+  // awaited (bounded) so a committed transaction is visible on every
+  // participant before the client hears about it. An abort also goes to
+  // the shards whose vote is still out (no-voters already rolled back),
+  // and its reply does not wait.
+  txn->phase = CrossTxn::Phase::kDecided;
+  txn->deadline_ms = MonotonicMs() + kAckTimeoutMs;
+  for (const uint32_t shard : txn->yes_shards) {
+    if (SendDecision(loop, TwoPcLink(loop, shard), txn->gtid, commit) &&
+        commit) {
+      ++txn->acks_pending;
+    }
+  }
+  for (const uint32_t shard : txn->unvoted) {
+    SendDecision(loop, TwoPcLink(loop, shard), txn->gtid, false);
+  }
+  if (txn->acks_pending == 0) ReplyCrossTxn(loop, txn);
+}
+
+void ShardRouter::HandleAck(RouterLoop* loop, uint64_t gtid) {
+  // Only commit acks have a waiter.
+  auto it = loop->txns.find(gtid);
+  if (it != loop->txns.end() && !it->second->replied &&
+      it->second->phase == CrossTxn::Phase::kDecided &&
+      --it->second->acks_pending == 0) {
+    ReplyCrossTxn(loop, it->second.get());
+  }
+}
+
+bool ShardRouter::SendDecision(RouterLoop* loop, ShardLink* link,
+                               uint64_t gtid, bool commit) {
+  // A link resolving its in-doubt backlog has classified every gtid on its
+  // list once the list arrived (skipping live ones): a decision then joins
+  // the acks that handshake counts. A link that has not asked yet finds
+  // the verdict in its own sweep.
+  const bool resolving = link->state == ShardLink::State::kResolve &&
+                         link->resolve_pending >= 0;
+  if (link->state != ShardLink::State::kUp && !resolving) return false;
+  server::Decision decision;
+  decision.gtid = gtid;
+  std::vector<uint8_t> bytes;
+  server::EncodeDecision(
+      commit ? FrameType::kCommitDecision : FrameType::kAbortDecision,
+      decision, &bytes);
+  if (resolving) {
+    link->conn->EnqueueRaw(bytes.data(), bytes.size());
+    MarkDirty(loop, link->conn.get());
+    ++link->resolve_pending;
+    return false;
+  }
+  Expectation expectation;
+  expectation.reply = FrameType::kDecisionAck;
+  expectation.gtid = gtid;
+  SendOnLink(loop, link, bytes, expectation);
+  return true;
+}
+
+void ShardRouter::ReplyCrossTxn(RouterLoop* loop, CrossTxn* txn) {
+  txn->replied = true;
+  const bool commit = txn->status == StatusCode::kOk;
+  (commit ? stats_.cross_shard_commits : stats_.cross_shard_aborts)
+      .fetch_add(1, std::memory_order_relaxed);
+  auto sit = loop->sessions.find(txn->session_id);
+  if (sit != loop->sessions.end()) {  // Else the session died mid-2PC.
+    server::Response response;
+    response.request_id = txn->request_id;
+    response.status = txn->status;
+    response.commit_lsn = commit ? txn->decision_lsn : 0;
+    std::vector<uint8_t> encoded;
+    server::EncodeResponse(response, &encoded);
+    sit->second->Complete(txn->ticket, std::move(encoded));
+    ReleaseSessionReplies(loop, sit->second.get());
+  }
+  MaybeRetireCrossTxn(loop, txn);
+}
+
+void ShardRouter::MaybeRetireCrossTxn(RouterLoop* loop, CrossTxn* txn) {
+  if (!txn->replied || !txn->unvoted.empty()) return;
+  loop->txns.erase(txn->gtid);
+  // Free the slot and wake the loops whose jobs wait for one; this loop
+  // starts its own at the top of its next iteration.
+  cross_in_flight_.fetch_sub(1);
+  for (auto& other : loops_) {
+    if (other.get() != loop && other->queued_jobs.load() > 0) {
+      other->io->Wakeup();
+    }
+  }
 }
 
 }  // namespace shard

@@ -14,46 +14,39 @@
 /// order. Requests it cannot route (unknown proc id, malformed arguments)
 /// go to shard 0 verbatim so error behavior matches a direct connection.
 ///
-/// A kKvRmw whose keys span shards becomes a distributed transaction: the
-/// router splits the key set per shard, drives Prepare against every
-/// participant, and on unanimous yes votes hardens a kCoordDecision record
-/// in its own durable log *before* releasing the client reply or any
-/// commit decision (the decision is the commit point). Aborts are not
-/// logged — the protocol is presumed-abort: a gtid absent from the
-/// decision log did not commit. On (re)connecting to a shard the router
-/// asks for the shard's in-doubt gtids and replays decisions from the log
-/// scan, which is how participants that crashed after preparing get
-/// resolved. A participant that misses its vote deadline is aborted
-/// (breaking the cross-shard deadlock of parked prepared transactions).
+/// A kKvRmw whose keys span shards becomes a presumed-abort distributed
+/// transaction: the router splits the key set per shard, sends Prepare to
+/// every participant, and on unanimous yes votes hardens a kCoordDecision
+/// record in its own durable log *before* releasing the client reply or
+/// any commit decision (the decision is the commit point; a gtid absent
+/// from the log did not commit). On (re)connecting to a shard the router
+/// asks for its in-doubt gtids and replays verdicts from the log scan.
 ///
-/// Threading: the session tier is N event-loop threads on the src/io/
-/// IoBackend spine (uring or batched epoll — the same contract the server
-/// uses). Loop 0 owns the persistent accept and round-robins accepted
-/// sockets across loops; each loop owns its share of client sessions plus
-/// one *forwarding connection per shard*, multiplexed through one backend
-/// instance via submitted reads and gathered writev completions. The fast
-/// path never leaves its loop: forwards staged across one read burst go
-/// out with one gather write per shard link, forward replies pair with a
-/// per-link FIFO expectation deque, and the per-session ticket reorder
-/// buffer releases client responses in request order with one coalesced
-/// writev per session per reap batch. Shard links reconnect with jittered
-/// backoff driven by reap timeouts (never a blind sleep), and a link
-/// resolves the shard's in-doubt backlog before accepting forwards.
-///
-/// Cross-shard 2PC runs on a small dedicated coordinator pool — blocking
-/// threads with their own shard connections — so event loops never block
-/// on votes; the finished reply is posted back to the owning loop through
-/// its inbox + Wakeup, and the session's reorder buffer slots it into
-/// order. A shared (committed, active) gtid map keeps a reconnecting
-/// link's in-doubt sweep from aborting a transaction a coordinator thread
-/// is still driving. Stop() is prompt: every blocking wait is sliced
-/// against stop_, and WaitShardsConnected parks on a condvar with a
-/// deadline rather than a poll loop.
+/// Threading: N event-loop threads on the src/io/ IoBackend spine (uring
+/// or batched epoll) and no others. Loop 0 owns the accept and deals
+/// sockets round-robin; each loop owns its sessions plus two links per
+/// shard, one for forwards and one for 2PC, and everything a session needs
+/// stays on its loop. Frames staged in one reap batch leave with one gather
+/// write per link; every reply on a link pairs with the link's FIFO
+/// expectation deque (a shard answers a connection's frames in arrival
+/// order); a per-session reorder buffer releases client replies in request
+/// order. Each 2PC is a per-gtid state machine on its session's loop, and
+/// no loop ever blocks: the decision log's durable callback wakes loops
+/// holding commits, and vote and ack deadlines are loop timers. A 2PC link
+/// carries one outstanding vote at a time, and an abort goes to every
+/// participant that has not voted no, because a branch can prepare while
+/// its vote waits behind replies that need its locks; a transaction keeps
+/// its slot, resending that abort, until every vote is in. Since a prepared
+/// branch parks a shard worker until its decision arrives, one atomic
+/// budget (`coordinator_threads`) bounds the 2PCs in flight across loops;
+/// a loop over budget queues the job and is woken when a slot frees. A
+/// shared (committed, active) gtid map keeps a reconnecting link's
+/// in-doubt sweep from aborting a transaction another loop is still
+/// driving. Links reconnect with jittered backoff driven by reap timeouts.
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -65,7 +58,6 @@
 #include "common/thread_safety.h"
 #include "io/io_backend.h"
 #include "log/log_manager.h"
-#include "server/client.h"
 #include "server/connection.h"
 #include "server/protocol.h"
 
@@ -87,20 +79,21 @@ struct ShardRouterOptions {
   std::string log_dir;
   /// How long the coordinator waits for votes before presuming abort.
   int64_t vote_timeout_ms = 5000;
-  /// How long the coordinator waits for decision acks before replying
-  /// anyway (the decision is already durable; a slow participant resolves
-  /// through in-doubt recovery).
-  int64_t ack_timeout_ms = 5000;
-  /// Crash hook: _exit(42) right after the prepares of the Nth cross-shard
-  /// transaction hit the wire — before the decision is logged. The
+  /// Crash hook: _exit(42) once the Nth cross-shard transaction to reach
+  /// unanimous yes votes has them all — every prepare was written and is
+  /// durable on its shard, and the decision is not yet logged. The
   /// crashtest harness uses this to create coordinator in-doubt windows.
-  uint64_t crash_after_prepares_sent = 0;
+  uint64_t crash_after_votes_collected = 0;
   /// Async backend for the event-loop session tier (kAuto probes uring,
   /// falls back to epoll).
   io::IoBackendKind io_backend = io::IoBackendKind::kAuto;
   /// Event-loop thread count; 0 = auto (min(4, cores/2), at least 1).
   int num_loops = 0;
-  /// Blocking 2PC coordinator threads (cross-shard transactions only).
+  /// Cross-shard transactions in flight at once, across all loops. Every
+  /// prepared branch parks a shard worker until its decision arrives, so
+  /// this must not exceed the shards' worker count, or parked branches
+  /// starve the prepares they wait for until the vote timeout breaks the
+  /// cycle. Jobs over the budget wait in their loop's FIFO.
   int coordinator_threads = 2;
 };
 
@@ -132,17 +125,17 @@ class ShardRouter {
   ShardRouter& operator=(const ShardRouter&) = delete;
 
   /// Scans the decision log for prior commits, opens it for appending,
-  /// binds the listen socket, and starts the event loops + coordinator
-  /// pool. Shard links are established asynchronously; use
-  /// WaitShardsConnected() for a deterministic ready point.
+  /// binds the listen socket, and starts the event loops. Shard links are
+  /// established asynchronously; use WaitShardsConnected() for a
+  /// deterministic ready point.
   Status Start();
   void Stop();
 
   /// Bound listen port (after Start()).
   uint16_t port() const { return port_; }
 
-  /// Blocks until every loop's link to every shard is up (its in-doubt
-  /// backlog resolved) or `timeout_ms` elapses. Returns true when all
+  /// Blocks until every loop's links to every shard are up (their in-doubt
+  /// backlogs resolved) or `timeout_ms` elapses. Returns true when all
   /// links are up.
   bool WaitShardsConnected(int64_t timeout_ms);
 
@@ -156,45 +149,29 @@ class ShardRouter {
   uint32_t num_loops() const { return static_cast<uint32_t>(loops_.size()); }
 
   /// Kernel entries issued by the event-loop backends (live counters plus
-  /// those of loops already stopped). Excludes the blocking coordinator
-  /// pool — this measures the fast path's syscall budget. Safe to call
-  /// while running or after Stop(); not concurrently *with* Stop().
+  /// those of loops already stopped): all of the router's network I/O,
+  /// forwards and 2PC traffic alike. Safe to call while running or after
+  /// Stop(); not concurrently *with* Stop().
   uint64_t io_syscalls() const;
 
  private:
   struct RouterLoop;
   struct ShardLink;
-  struct Coordinator;
-
-  /// A cross-shard kKvRmw handed from an event loop to the coordinator
-  /// pool. Identifies the reply slot by (loop, session id, ticket) — never
-  /// by pointer, so a session that dies mid-2PC just drops the result.
-  struct CrossShardJob {
-    uint32_t loop_index = 0;
-    uint64_t session_id = 0;
-    uint64_t ticket = 0;
-    uint64_t request_id = 0;
-    /// Per-shard key slices (index == shard id; empty == not a participant).
-    std::vector<std::vector<uint64_t>> shard_keys;
-  };
-
-  /// Finished 2PC reply, posted back to the owning loop's inbox.
-  struct CoordinatorResult {
-    uint64_t session_id = 0;
-    uint64_t ticket = 0;
-    std::vector<uint8_t> encoded;
-  };
+  struct CrossTxn;
 
   /// What the next reply frame on a shard link answers. The shard server
-  /// guarantees per-connection FIFO replies, so a deque of these, pushed
-  /// in send order by the owning loop, always matches.
+  /// answers every frame of a connection in arrival order, so a deque of
+  /// these, pushed in send order by the owning loop, always matches.
   struct Expectation {
+    /// kResponse (a relayed request), kVote or kDecisionAck (for `gtid`).
+    server::FrameType reply = server::FrameType::kResponse;
     uint64_t session_id = 0;
     uint64_t ticket = 0;
     /// Echoed in the kUnavailable reply when the link dies with the
     /// forward in flight — a reply with a made-up request id would
     /// desynchronize clients that match responses by id.
     uint64_t request_id = 0;
+    uint64_t gtid = 0;
   };
 
   // --- Event loop ---------------------------------------------------------
@@ -203,19 +180,27 @@ class ShardRouter {
   void ProcessTimers(RouterLoop* loop);
   void DrainInbox(RouterLoop* loop);
   void FlushDirty(RouterLoop* loop);
-  void MarkDirty(RouterLoop* loop, uint64_t conn_id);
+  /// Owes `conn` a gather write at batch end (once per batch).
+  void MarkDirty(RouterLoop* loop, server::Connection* conn);
   void StartConnWrite(RouterLoop* loop, server::Connection* conn);
+  /// Sessions and links share one id space per loop; `*link` is null for
+  /// a session, and the result null for an id already torn down.
+  server::Connection* FindConn(RouterLoop* loop, uint64_t id,
+                               ShardLink** link);
+  /// Read/write plumbing for a session (`link` null) or a shard link;
+  /// DropConn closes the session or tears the link down.
+  void DropConn(RouterLoop* loop, server::Connection* conn, ShardLink* link);
+  void StartRead(RouterLoop* loop, server::Connection* conn, ShardLink* link);
+  void HandleRead(RouterLoop* loop, server::Connection* conn,
+                  ShardLink* link, int32_t result);
+  void HandleWrite(RouterLoop* loop, server::Connection* conn,
+                   ShardLink* link, int32_t result);
 
   // --- Accept path (loop 0) ----------------------------------------------
   void HandleAccept(RouterLoop* loop, int32_t result);
   void AdoptSession(RouterLoop* loop, int fd);
 
   // --- Client sessions ----------------------------------------------------
-  void StartSessionRead(RouterLoop* loop, server::Connection* conn);
-  void HandleSessionRead(RouterLoop* loop, server::Connection* conn,
-                         int32_t result);
-  void HandleSessionWrite(RouterLoop* loop, server::Connection* conn,
-                          int32_t result);
   /// Decodes and routes buffered frames; returns false when the session
   /// was closed.
   bool DrainSessionFrames(RouterLoop* loop, server::Connection* conn);
@@ -228,45 +213,55 @@ class ShardRouter {
 
   /// Routes one decoded client request. Single-shard forwards are staged
   /// on the owning loop's shard link (one gather write per link per reap
-  /// batch); cross-shard kKvRmw is handed to the coordinator pool.
+  /// batch); cross-shard kKvRmw becomes a CrossTxn on the same loop.
   void RouteRequest(RouterLoop* loop, server::Connection* conn,
                     uint64_t ticket, const server::Frame& frame);
   void StageForward(RouterLoop* loop, server::Connection* conn,
                     uint64_t ticket, uint32_t shard_id,
                     const server::Frame& frame, uint64_t request_id);
+  void SendOnLink(RouterLoop* loop, ShardLink* link,
+                  const std::vector<uint8_t>& bytes,
+                  const Expectation& expectation);
 
   // --- Shard links (per loop, event-driven) -------------------------------
   void StartConnectLink(RouterLoop* loop, ShardLink* link);
-  void HandleLinkRead(RouterLoop* loop, ShardLink* link, int32_t result);
-  void HandleLinkWrite(RouterLoop* loop, ShardLink* link, int32_t result);
-  void StartLinkRead(RouterLoop* loop, ShardLink* link);
   /// Returns false when the link was torn down mid-drain.
   bool DrainLinkFrames(RouterLoop* loop, ShardLink* link);
   bool HandleLinkHandshakeFrame(RouterLoop* loop, ShardLink* link,
                                 server::FrameType type,
                                 const std::vector<uint8_t>& body);
-  bool HandleLinkForwardReply(RouterLoop* loop, ShardLink* link,
-                              server::FrameType type,
-                              const std::vector<uint8_t>& body);
+  bool HandleLinkReply(RouterLoop* loop, ShardLink* link,
+                       server::FrameType type,
+                       const std::vector<uint8_t>& body);
   void LinkUp(RouterLoop* loop, ShardLink* link);
-  /// Fails outstanding expectations with kUnavailable and schedules a
-  /// jittered reconnect.
+  /// Fails outstanding expectations (forwards answer kUnavailable, votes
+  /// count as failed) and schedules a jittered reconnect.
   void TeardownLink(RouterLoop* loop, ShardLink* link);
 
-  // --- Coordinator pool (blocking 2PC) ------------------------------------
-  void CoordinatorRun(Coordinator* coord);
-  void RunCrossShard(Coordinator* coord, const CrossShardJob& job);
-  bool EnsureShardClient(Coordinator* coord, uint32_t shard_id);
-  /// In-doubt sweep over a fresh blocking connection; skips gtids a live
-  /// coordinator still owns (the active set).
-  Status ResolveInDoubtOn(server::Client* client);
-  void PostResult(uint32_t loop_index, CoordinatorResult result);
-  /// Bounded RecvFrame that slices the wait against stop_.
-  Status RecvFrameSliced(server::Client* client, server::FrameType* type,
-                         std::vector<uint8_t>* body, int64_t deadline_ms);
+  // --- Cross-shard 2PC (per-gtid state machines on the loop) -------------
+  ShardLink* TwoPcLink(RouterLoop* loop, uint32_t shard);
+  /// Starts queued jobs while the global in-flight budget has room.
+  void StartQueued(RouterLoop* loop);
+  void StartCrossTxn(RouterLoop* loop, CrossTxn* txn);
+  void HandleVote(RouterLoop* loop, ShardLink* link,
+                  const server::Vote& vote);
+  void HandleAck(RouterLoop* loop, uint64_t gtid);
+  /// Releases commits whose decision is durable (aborts them on a failed
+  /// decision log).
+  void ReleaseDurableCommits(RouterLoop* loop);
+  /// kOk commits, anything else aborts with that reply status. The
+  /// decision goes to every yes-voter (an abort also to unvoted shards);
+  /// a commit replies once they ack.
+  void DecideCrossTxn(RouterLoop* loop, CrossTxn* txn, StatusCode status);
+  void ReplyCrossTxn(RouterLoop* loop, CrossTxn* txn);
+  /// Drops a replied transaction once every vote is in, freeing its slot.
+  void MaybeRetireCrossTxn(RouterLoop* loop, CrossTxn* txn);
+  /// Queues a decision on `link`; true when an ack is expected on it.
+  bool SendDecision(RouterLoop* loop, ShardLink* link, uint64_t gtid,
+                    bool commit);
 
   /// committed/active check for one in-doubt gtid, one critical section:
-  /// *commit set => replay commit; active set => skip (a live coordinator
+  /// *commit set => replay commit; active set => skip (a live transaction
   /// owns the outcome); neither => presumed abort.
   void ClassifyInDoubt(uint64_t gtid, bool* commit, bool* skip);
 
@@ -287,12 +282,19 @@ class ShardRouter {
   std::unique_ptr<LogManager> decision_log_;
   uint64_t gtid_base_ = 0;
   std::atomic<uint64_t> gtid_seq_{0};
-  std::atomic<uint64_t> cross_shard_started_{0};
+  /// Transactions that reached unanimous yes votes (the crash hook).
+  std::atomic<uint64_t> votes_collected_{0};
+  /// Cross-shard transactions in flight across all loops.
+  std::atomic<int> cross_in_flight_{0};
+  /// The decision log's durable watermark and sticky failure, published
+  /// by its durable callback for the loops holding commits.
+  std::atomic<Lsn> decision_durable_lsn_{0};
+  std::atomic<bool> decision_log_failed_{false};
 
   mutable Mutex committed_mu_;
   /// Every gtid with a durable commit decision (log scan + runtime).
   std::unordered_set<uint64_t> committed_ GUARDED_BY(committed_mu_);
-  /// Gtids whose 2PC a coordinator thread is currently driving. Guarded by
+  /// Gtids whose 2PC some loop is currently driving. Guarded by
   /// the same mutex as committed_ so an in-doubt sweep classifies a gtid
   /// (committed / active / presumed-abort) in one atomic look — without
   /// this a link reconnect could presume-abort a healthy transaction whose
@@ -308,13 +310,6 @@ class ShardRouter {
   std::atomic<uint32_t> accept_rr_{0};
   /// Syscalls of backends already destroyed (accumulated in Stop()).
   std::atomic<uint64_t> io_syscalls_retired_{0};
-
-  // Cross-shard job queue feeding the coordinator pool.
-  mutable Mutex jobs_mu_;
-  CondVar jobs_cv_;
-  std::deque<CrossShardJob> jobs_ GUARDED_BY(jobs_mu_);
-  bool jobs_stopped_ GUARDED_BY(jobs_mu_) = false;
-  std::vector<std::unique_ptr<Coordinator>> coordinators_;
 };
 
 }  // namespace shard

@@ -103,7 +103,6 @@ Engine::Engine(EngineOptions options) : options_(std::move(options)) {
     LogManagerOptions log_options;
     log_options.dir = options_.log_dir;
     log_options.flush_interval_us = options_.log_flush_interval_us;
-    log_options.device_latency_us = options_.log_device_latency_us;
     log_options.sync_policy = options_.log_sync;
     log_options.segment_bytes = options_.log_segment_bytes;
     log_options.file_factory = options_.log_file_factory;

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -468,6 +469,42 @@ TEST(LogManagerTest, PersistentIoErrorIsStickyNotFatal) {
   EXPECT_EQ(log.WaitDurable(lsn).code(), StatusCode::kIOError);
   EXPECT_EQ(log.io_status().code(), StatusCode::kIOError);
   EXPECT_EQ(log.durable_lsn(), 0u);
+  log.Close();
+}
+
+/// A consumer that never blocks in WaitDurable (the shard router's commit
+/// point) learns of a sticky device error from one last durable callback
+/// at the unchanged watermark, with io_status() already the error.
+TEST(LogManagerTest, StickyIoErrorInvokesDurableCallback) {
+  using Step = ShimLogFile::Step;
+  LogManagerOptions options;
+  options.dir = TempLogDir("eio_cb");
+  options.file_factory = [] {
+    return std::make_unique<ShimLogFile>(
+        std::vector<Step>(64, Step::kEio));
+  };
+  LogManager log(options);
+  ASSERT_TRUE(log.Open().ok());
+  std::atomic<int> calls{0};
+  std::atomic<Lsn> seen_lsn{~Lsn{0}};
+  std::atomic<int> seen_code{static_cast<int>(StatusCode::kOk)};
+  log.SetDurableCallback([&](Lsn durable) {
+    seen_lsn.store(durable);
+    seen_code.store(static_cast<int>(log.io_status().code()));
+    calls.fetch_add(1);
+  });
+  const std::vector<uint8_t> body(16, 1);
+  log.Append(LogRecordType::kTxnValue, body);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (calls.load() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(calls.load(), 1);
+  EXPECT_EQ(seen_lsn.load(), 0u);
+  EXPECT_EQ(seen_code.load(), static_cast<int>(StatusCode::kIOError));
+  EXPECT_EQ(log.io_status().code(), StatusCode::kIOError);
+  log.SetDurableCallback(nullptr);
   log.Close();
 }
 

@@ -3,6 +3,7 @@
 /// over loopback sockets, parameterized over both io backends (uring
 /// skipped where the kernel/sandbox denies rings). Covers the single-shard
 /// fast path (verbatim forwarding, counters), cross-shard 2PC atomicity,
+/// the in-flight 2PC budget, a late vote against a scripted participant,
 /// the kUnavailable error path when a shard is down mid-batch, router
 /// restart replaying its durable decision log, and the event-loop
 /// lifecycle: session churn must not grow live-session state (the old
@@ -14,8 +15,16 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <atomic>
 #include <chrono>
 #include <cstring>
+#include <deque>
 #include <memory>
 #include <string>
 #include <thread>
@@ -196,7 +205,7 @@ TEST_P(ShardRouterTest, PipelinedMixedTrafficKeepsRequestOrder) {
   // Pipeline a burst that alternates shards and includes a cross-shard
   // txn in the middle; the reorder buffer must deliver replies in
   // request order even though they complete on different shards (and the
-  // cross-shard one on the coordinator pool).
+  // cross-shard one only after its votes, decision and acks).
   constexpr uint64_t kBurst = 20;
   for (uint64_t i = 0; i < kBurst; ++i) {
     if (i == 10) {
@@ -212,6 +221,351 @@ TEST_P(ShardRouterTest, PipelinedMixedTrafficKeepsRequestOrder) {
     EXPECT_EQ(response.status, StatusCode::kOk);
   }
   EXPECT_EQ(topo.router->stats().cross_shard_commits.load(), 1u);
+}
+
+// Every prepared branch parks a shard worker until its decision arrives.
+// With 2-worker shards and the default in-flight budget, 8 clients that
+// each pipeline 50 cross-shard rmws must all commit with no vote timeout;
+// without the budget, parked branches starve the prepares they wait for
+// until the vote timeout breaks the cycle.
+TEST_P(ShardRouterTest, InFlightBudgetKeepsPipelinedCrossShardLive) {
+  Topology topo;
+  StartTopology(&topo, TempBase(), GetParam());
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+
+  constexpr uint64_t kClients = 8;
+  constexpr uint64_t kPerClient = 50;
+  std::atomic<uint64_t> committed{0};
+  const auto t0 = std::chrono::steady_clock::now();
+  std::vector<std::thread> clients;
+  for (uint64_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      server::Client client;
+      if (!client.Connect("127.0.0.1", topo.router->port()).ok()) return;
+      for (uint64_t i = 0; i < kPerClient; ++i) {
+        // Keys {2j, 2j+1} live on different shards; no two rmws share one.
+        const uint64_t j = c * kPerClient + i;
+        if (!client.Send(RmwRequest(i, {2 * j, 2 * j + 1})).ok()) return;
+      }
+      for (uint64_t i = 0; i < kPerClient; ++i) {
+        server::Response response;
+        if (!client.Recv(&response, 30000).ok()) return;
+        if (response.request_id == i && response.status == StatusCode::kOk) {
+          committed.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - t0);
+
+  const ShardRouterStats& stats = topo.router->stats();
+  EXPECT_EQ(committed.load(), kClients * kPerClient);
+  EXPECT_EQ(stats.cross_shard_commits.load(), kClients * kPerClient);
+  EXPECT_EQ(stats.vote_timeouts.load(), 0u);
+  EXPECT_LT(elapsed.count(), 2000) << "vote_timeout_ms is 2000";
+}
+
+/// A scripted participant: a loopback listener that answers each router
+/// link's handshake (HelloAck, then an empty in-doubt list) and hands every
+/// later frame to the test, which answers by hand.
+class FakeShard {
+ public:
+  FakeShard() {
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    sockaddr_in addr;
+    std::memset(&addr, 0, sizeof(addr));
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    NEXT700_CHECK(listen_fd_ >= 0 &&
+                  ::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+                         sizeof(addr)) == 0 &&
+                  ::listen(listen_fd_, 8) == 0 &&
+                  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+                                &len) == 0);
+    port_ = ntohs(addr.sin_port);
+  }
+  ~FakeShard() {
+    for (const Link& link : links_) ::close(link.fd);
+    ::close(listen_fd_);
+  }
+  FakeShard(const FakeShard&) = delete;
+  FakeShard& operator=(const FakeShard&) = delete;
+
+  uint16_t port() const { return port_; }
+
+  /// Accepts `n` router links and answers each handshake.
+  bool AcceptLinks(size_t n, int timeout_ms) {
+    while (links_.size() < n) {
+      if (!WaitReadable(listen_fd_, timeout_ms)) return false;
+      const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
+      if (fd < 0) return false;
+      links_.emplace_back();
+      links_.back().fd = fd;
+      ++accepts_;
+      const size_t i = links_.size() - 1;
+      server::FrameType type;
+      std::vector<uint8_t> body;
+      if (!Recv(i, &type, &body, timeout_ms) ||
+          type != server::FrameType::kHello ||
+          !Recv(i, &type, &body, timeout_ms) ||
+          type != server::FrameType::kInDoubtQuery) {
+        return false;
+      }
+      std::vector<uint8_t> out;
+      server::EncodeHelloAck(server::HelloAck{}, &out);
+      server::EncodeInDoubtList(server::InDoubtList{}, &out);
+      if (!Send(i, out)) return false;
+    }
+    return true;
+  }
+
+  /// Next frame on link `i`.
+  bool Recv(size_t i, server::FrameType* type, std::vector<uint8_t>* body,
+            int timeout_ms) {
+    for (;;) {
+      server::Frame frame;
+      bool have = false;
+      if (!links_[i].decoder.Next(&frame, &have).ok()) return false;
+      if (have) {
+        *type = frame.type;
+        body->assign(frame.body, frame.body + frame.body_len);
+        return true;
+      }
+      if (!WaitReadable(links_[i].fd, timeout_ms)) return false;
+      uint8_t buf[4096];
+      const ssize_t n = ::recv(links_[i].fd, buf, sizeof(buf), 0);
+      if (n <= 0) return false;
+      links_[i].decoder.Feed(buf, static_cast<size_t>(n));
+    }
+  }
+
+  /// Next frame on any link; *i is the link it came on.
+  bool RecvAny(size_t* i, server::FrameType* type,
+               std::vector<uint8_t>* body, int timeout_ms) {
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::milliseconds(timeout_ms);
+    while (std::chrono::steady_clock::now() < deadline) {
+      for (*i = 0; *i < links_.size(); ++*i) {
+        if (links_[*i].decoder.buffered_bytes() > 0 ||
+            WaitReadable(links_[*i].fd, 1)) {
+          return Recv(*i, type, body, timeout_ms);
+        }
+      }
+    }
+    return false;
+  }
+
+  bool Send(size_t i, const std::vector<uint8_t>& bytes) {
+    size_t sent = 0;
+    while (sent < bytes.size()) {
+      const ssize_t n = ::send(links_[i].fd, bytes.data() + sent,
+                               bytes.size() - sent, MSG_NOSIGNAL);
+      if (n <= 0) return false;
+      sent += static_cast<size_t>(n);
+    }
+    return true;
+  }
+
+  /// Connections accepted so far, plus any still queued on the listener.
+  int accepts() {
+    while (WaitReadable(listen_fd_, 0)) {
+      const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
+      if (fd < 0) break;
+      ::close(fd);
+      ++accepts_;
+    }
+    return accepts_;
+  }
+
+ private:
+  struct Link {
+    int fd = -1;
+    server::FrameDecoder decoder;
+  };
+
+  static bool WaitReadable(int fd, int timeout_ms) {
+    pollfd p;
+    p.fd = fd;
+    p.events = POLLIN;
+    p.revents = 0;
+    return ::poll(&p, 1, timeout_ms) == 1;
+  }
+
+  int listen_fd_ = -1;
+  uint16_t port_ = 0;
+  int accepts_ = 0;
+  std::deque<Link> links_;
+};
+
+/// Router options for one loop over a real shard 0 and a fake shard 1.
+ShardRouterOptions FakeTopologyOptions(const Topology& topo,
+                                       const FakeShard& fake,
+                                       const std::string& base,
+                                       io::IoBackendKind io_backend) {
+  ShardRouterOptions ropts;
+  ropts.shards = {"127.0.0.1:" + std::to_string(topo.servers[0]->port()),
+                  "127.0.0.1:" + std::to_string(fake.port())};
+  ropts.num_partitions = kPartitions;
+  ropts.log_dir = base + "_rt";
+  RemoveLogDir(ropts.log_dir);
+  ropts.io_backend = io_backend;
+  ropts.num_loops = 1;
+  return ropts;
+}
+
+// A vote that misses its deadline aborts the transaction (presumed abort,
+// kDeadlineExceeded to the client) without tearing a link down: the
+// participant gets abort decisions on its 2PC link, and forwards keep
+// being answered.
+TEST_P(ShardRouterTest, LateVoteIsAbortedOnTheSameLink) {
+  const std::string base = TempBase();
+  Topology topo;
+  StartShard(&topo, 0, base + "_s0");
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  FakeShard fake;
+  ShardRouterOptions ropts =
+      FakeTopologyOptions(topo, fake, base, GetParam());
+  ropts.vote_timeout_ms = 300;
+  topo.router = std::make_unique<ShardRouter>(ropts);
+  ASSERT_TRUE(topo.router->Start().ok());
+  ASSERT_TRUE(fake.AcceptLinks(2, 10000));  // Forward and 2PC links.
+  ASSERT_TRUE(topo.router->WaitShardsConnected(15000));
+
+  server::Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", topo.router->port()).ok());
+  // Key 0 is on the real shard, keys 1 and 3 on the fake one.
+  ASSERT_TRUE(client.Send(RmwRequest(1, {0, 1})).ok());
+  ASSERT_TRUE(client.Send(GetRequest(2, 3)).ok());
+
+  size_t twopc = 0;
+  size_t fwd = 0;
+  server::Prepare prepare;
+  server::Request forward;
+  for (int k = 0; k < 2; ++k) {
+    size_t i = 0;
+    server::FrameType type;
+    std::vector<uint8_t> body;
+    ASSERT_TRUE(fake.RecvAny(&i, &type, &body, 10000));
+    if (type == server::FrameType::kPrepare) {
+      twopc = i;
+      ASSERT_TRUE(
+          server::DecodePrepare(body.data(), body.size(), &prepare).ok());
+    } else {
+      ASSERT_EQ(type, server::FrameType::kRequest);
+      fwd = i;
+      ASSERT_TRUE(
+          server::DecodeRequest(body.data(), body.size(), &forward).ok());
+    }
+  }
+  ASSERT_NE(twopc, fwd);
+  EXPECT_EQ(forward.request_id, 2u);
+
+  // The vote deadline passes: presumed abort.
+  server::Response response;
+  ASSERT_TRUE(client.Recv(&response, 10000).ok());
+  EXPECT_EQ(response.request_id, 1u);
+  EXPECT_EQ(response.status, StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(topo.router->stats().vote_timeouts.load(), 1u);
+
+  // The fake shard is told to abort on the prepare's link: at the deadline
+  // (its branch may have prepared with the vote stuck behind other
+  // replies), and again when its late yes arrives.
+  server::FrameType type;
+  std::vector<uint8_t> body;
+  server::Decision decision;
+  ASSERT_TRUE(fake.Recv(twopc, &type, &body, 10000));
+  ASSERT_EQ(type, server::FrameType::kAbortDecision);
+  ASSERT_TRUE(
+      server::DecodeDecision(body.data(), body.size(), &decision).ok());
+  EXPECT_EQ(decision.gtid, prepare.gtid);
+  server::Vote vote;
+  vote.gtid = prepare.gtid;
+  vote.prepare_lsn = 1;
+  std::vector<uint8_t> out;
+  server::EncodeVote(vote, &out);
+  ASSERT_TRUE(fake.Send(twopc, out));
+  ASSERT_TRUE(fake.Recv(twopc, &type, &body, 10000));
+  ASSERT_EQ(type, server::FrameType::kAbortDecision);
+  ASSERT_TRUE(
+      server::DecodeDecision(body.data(), body.size(), &decision).ok());
+  EXPECT_EQ(decision.gtid, prepare.gtid);
+  server::DecisionAck ack;
+  ack.gtid = prepare.gtid;
+  out.clear();
+  server::EncodeDecisionAck(ack, &out);
+  server::EncodeDecisionAck(ack, &out);
+  ASSERT_TRUE(fake.Send(twopc, out));
+
+  // The forward is answered on its own link.
+  server::Response get;
+  get.request_id = 2;
+  get.payload.assign(sizeof(uint64_t), 0);
+  out.clear();
+  server::EncodeResponse(get, &out);
+  ASSERT_TRUE(fake.Send(fwd, out));
+  ASSERT_TRUE(client.Recv(&response, 10000).ok());
+  EXPECT_EQ(response.request_id, 2u);
+  EXPECT_EQ(response.status, StatusCode::kOk);
+
+  // The real participant's branch was aborted too, and no link to the
+  // fake shard reconnected.
+  ASSERT_TRUE(client.Call(GetRequest(3, 0), &response).ok());
+  EXPECT_EQ(CounterOf(response), 0u);
+  EXPECT_EQ(topo.router->stats().cross_shard_aborts.load(), 1u);
+  EXPECT_EQ(topo.router->stats().cross_shard_commits.load(), 0u);
+  EXPECT_EQ(fake.accepts(), 2);
+}
+
+// A no vote aborts at once, and the abort also goes to a participant whose
+// vote is still out: its branch may have prepared with the vote queued
+// behind replies that wait on the branch's own locks.
+TEST_P(ShardRouterTest, NoVoteAbortsUnvotedParticipantAtOnce) {
+  const std::string base = TempBase();
+  Topology topo;
+  StartShard(&topo, 0, base + "_s0");
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  FakeShard fake;
+  ShardRouterOptions ropts =
+      FakeTopologyOptions(topo, fake, base, GetParam());
+  ropts.vote_timeout_ms = 10000;
+  topo.router = std::make_unique<ShardRouter>(ropts);
+  ASSERT_TRUE(topo.router->Start().ok());
+  ASSERT_TRUE(fake.AcceptLinks(2, 10000));
+  ASSERT_TRUE(topo.router->WaitShardsConnected(15000));
+
+  server::Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", topo.router->port()).ok());
+  // Key 2 * kRecords is on the real shard but past its table: a no vote.
+  const auto t0 = std::chrono::steady_clock::now();
+  ASSERT_TRUE(client.Send(RmwRequest(1, {2 * kRecords, 1})).ok());
+  server::Response response;
+  ASSERT_TRUE(client.Recv(&response, 10000).ok());
+  EXPECT_NE(response.status, StatusCode::kOk);
+  EXPECT_NE(response.status, StatusCode::kDeadlineExceeded);
+  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(
+                std::chrono::steady_clock::now() - t0)
+                .count(),
+            5000);
+
+  size_t twopc = 0;
+  server::FrameType type;
+  std::vector<uint8_t> body;
+  ASSERT_TRUE(fake.RecvAny(&twopc, &type, &body, 10000));
+  ASSERT_EQ(type, server::FrameType::kPrepare);
+  server::Prepare prepare;
+  ASSERT_TRUE(
+      server::DecodePrepare(body.data(), body.size(), &prepare).ok());
+  ASSERT_TRUE(fake.Recv(twopc, &type, &body, 10000));
+  ASSERT_EQ(type, server::FrameType::kAbortDecision);
+  server::Decision decision;
+  ASSERT_TRUE(
+      server::DecodeDecision(body.data(), body.size(), &decision).ok());
+  EXPECT_EQ(decision.gtid, prepare.gtid);
+  EXPECT_EQ(topo.router->stats().cross_shard_aborts.load(), 1u);
+  EXPECT_EQ(topo.router->stats().vote_timeouts.load(), 0u);
 }
 
 TEST_P(ShardRouterTest, DownShardAnswersUnavailableAndRecovers) {

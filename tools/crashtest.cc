@@ -58,9 +58,9 @@
 /// cross-shard kv_rmw transactions through the router. The seed picks one
 /// of three crash points:
 ///
-///   * coordinator crash: the router _exit(42)s right after the Nth
-///     cross-shard transaction's prepares hit the wire, before its commit
-///     decision is logged — both participants are left with parked
+///   * coordinator crash: the router _exit(42)s once the Nth cross-shard
+///     transaction to collect unanimous yes votes has them all, before its
+///     commit decision is logged — both participants are left with parked
 ///     prepared branches (in doubt);
 ///   * participant crash: one shard _exit(42)s after its Nth prepare is
 ///     durable but before the vote leaves, so the coordinator aborts the
@@ -574,6 +574,8 @@ int RunRound(uint64_t seed, const std::string& log_dir) {
 
 constexpr uint64_t kReplRecords = 512;
 constexpr size_t kReplPipelineDepth = 4;
+/// Conflict aborts one round may resend before its load counts as stalled.
+constexpr uint64_t kReplMaxAborts = 100;
 
 struct ReplPlan {
   bool kill_primary;        // Else kill the replica.
@@ -837,6 +839,7 @@ int RunReplRound(uint64_t seed, const std::string& base_dir) {
   std::deque<std::pair<uint64_t, uint64_t>> outstanding;  // id, key.
   uint64_t next_id = 1;
   uint64_t acked_total = 0;
+  uint64_t aborted_total = 0;
   bool transport_down = false;
   auto receive_one = [&]() -> bool {
     server::Response response;
@@ -847,6 +850,16 @@ int RunReplRound(uint64_t seed, const std::string& base_dir) {
     }
     const uint64_t key = outstanding.front().second;
     outstanding.pop_front();
+    if (response.status == StatusCode::kAborted) {
+      // NO_WAIT refused a lock held by another pipelined increment of the
+      // same key; the transaction left no effect. Resend it under a new id
+      // so it stays counted as in flight until acked.
+      if (++aborted_total > kReplMaxAborts) return false;
+      if (!client.Send(ReplRmwRequest(next_id, key)).ok()) return false;
+      outstanding.emplace_back(next_id, key);
+      ++next_id;
+      return true;
+    }
     if (response.status != StatusCode::kOk) return false;
     ++counts.acked[key];
     ++acked_total;
@@ -1011,8 +1024,8 @@ constexpr size_t kShardPipelineDepth = 4;
 
 struct ShardPlan {
   enum class Kill {
-    kCoordinator,  // Router _exit(42)s after the Nth cross-shard txn's
-                   // prepares hit the wire, before its decision is logged.
+    kCoordinator,  // Router _exit(42)s once the Nth cross-shard txn has
+                   // every yes vote, before its decision is logged.
     kParticipant,  // One shard _exit(42)s after its Nth durable prepare,
                    // vote unsent.
     kRouterKill,   // Parent SIGKILLs the router mid-pipeline.
@@ -1084,7 +1097,7 @@ io::IoBackendKind g_shard_io_backend = io::IoBackendKind::kAuto;
 /// first request always lands on a ready topology.
 void RunShardRouterChild(const std::vector<uint16_t>& shard_ports,
                          const std::string& dir,
-                         uint64_t crash_after_prepares_sent, int port_fd) {
+                         uint64_t crash_after_votes_collected, int port_fd) {
   std::signal(SIGTERM, OnReplChildSignal);
   {
     shard::ShardRouterOptions opts;
@@ -1095,7 +1108,7 @@ void RunShardRouterChild(const std::vector<uint16_t>& shard_ports,
     opts.log_dir = dir;
     opts.vote_timeout_ms = 2000;
     opts.io_backend = g_shard_io_backend;
-    opts.crash_after_prepares_sent = crash_after_prepares_sent;
+    opts.crash_after_votes_collected = crash_after_votes_collected;
     shard::ShardRouter router(opts);
     if (!router.Start().ok()) ::_exit(99);
     if (!router.WaitShardsConnected(15000)) ::_exit(97);

@@ -68,7 +68,7 @@ void Usage() {
       "  [--seconds=S] [--warmup=S] [--partitions=N] [--index=hash|btree]\n"
       "  [--logging=none|value|command] [--log-dir=DIR] "
       "[--log-sync=none|fdatasync|odsync]\n"
-      "  [--log-segment-mb=N] [--log-latency-us=N] [--async-commit]\n"
+      "  [--log-segment-mb=N] [--async-commit]\n"
       "  [--checkpoint-dir=DIR] [--checkpoint-interval-ms=N] "
       "[--checkpoint-no-truncate]\n"
       "  YCSB: [--records=N] [--theta=T] [--writes=F] [--ops=N] [--rmw]\n"
@@ -80,7 +80,7 @@ void Usage() {
       "[--index=hash|btree]\n"
       "  [--logging=none|value|command] [--log-dir=DIR] "
       "[--log-sync=none|fdatasync|odsync]\n"
-      "  [--log-segment-mb=N] [--log-latency-us=N] [--async-commit]\n"
+      "  [--log-segment-mb=N] [--async-commit]\n"
       "  [--checkpoint-dir=DIR] [--checkpoint-interval-ms=N] "
       "[--checkpoint-no-truncate]\n"
       "  [--max-inflight=N] [--queue-capacity=N] [--seconds=S]  "
@@ -149,8 +149,6 @@ EngineOptions ParseEngineOptions(Flags* flags, int threads,
   }
   eng.log_segment_bytes =
       static_cast<uint64_t>(flags->GetInt("log-segment-mb", 64)) << 20;
-  eng.log_device_latency_us =
-      static_cast<uint64_t>(flags->GetInt("log-latency-us", 0));
   eng.sync_commit = !flags->GetBool("async-commit", false);
   eng.checkpoint_dir = flags->GetString("checkpoint-dir", "");
   eng.checkpoint_interval_ms =
@@ -219,8 +217,8 @@ int RunShardRouter(Flags* flags) {
   opt.io_backend = ParseIoBackend(flags);
   opt.num_loops = flags->GetInt("router-loops", 0);
   if (opt.num_loops < 0) flags->Die("--router-loops must be >= 0");
-  opt.crash_after_prepares_sent = static_cast<uint64_t>(
-      flags->GetInt("crash-after-prepares-sent", 0));
+  opt.crash_after_votes_collected = static_cast<uint64_t>(
+      flags->GetInt("crash-after-votes-collected", 0));
   const double seconds = flags->GetDouble("seconds", 0.0);
   flags->RejectUnknown();
 
