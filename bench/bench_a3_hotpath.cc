@@ -21,6 +21,13 @@
 
 namespace {
 std::atomic<uint64_t> g_allocs{0};
+
+// Every replacement delete frees through here. Kept out of line: once a
+// delete is inlined next to the operator new call that produced its
+// pointer, GCC reports free() on it as a mismatched deallocation
+// (-Wmismatched-new-delete), although the shim's news allocate with
+// malloc and posix_memalign.
+[[gnu::noinline]] void FreeShim(void* p) noexcept { std::free(p); }
 }  // namespace
 
 // Counting shims: every heap allocation in this binary bumps g_allocs.
@@ -44,17 +51,17 @@ void* operator new(std::size_t size, std::align_val_t align) {
 void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { FreeShim(p); }
+void operator delete(void* p, std::size_t) noexcept { FreeShim(p); }
+void operator delete[](void* p) noexcept { FreeShim(p); }
+void operator delete[](void* p, std::size_t) noexcept { FreeShim(p); }
+void operator delete(void* p, std::align_val_t) noexcept { FreeShim(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  FreeShim(p);
 }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { FreeShim(p); }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  FreeShim(p);
 }
 
 namespace next700 {

@@ -1,6 +1,9 @@
 #include "index/hash_index.h"
 
+#include <sys/mman.h>
+
 #include <bit>
+#include <memory>
 
 namespace next700 {
 
@@ -14,17 +17,30 @@ const char* IndexKindName(IndexKind kind) {
   return "unknown";
 }
 
+HashIndex::BucketArray::BucketArray(uint64_t n) : mask(n - 1) {
+  void* p = mmap(nullptr, n * sizeof(Bucket), PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_POPULATE, -1, 0);
+  NEXT700_CHECK(p != MAP_FAILED);
+  buckets = static_cast<Bucket*>(p);
+  std::uninitialized_default_construct_n(buckets, n);
+}
+
+HashIndex::BucketArray::~BucketArray() {
+  munmap(buckets, size() * sizeof(Bucket));
+}
+
 HashIndex::HashIndex(Table* table, uint64_t capacity_hint) : Index(table) {
-  const uint64_t n = std::bit_ceil(capacity_hint < 16 ? 16 : capacity_hint);
+  const uint64_t wanted = capacity_hint / kGrowLoadFactor;
+  const uint64_t n = std::bit_ceil(wanted < 16 ? 16 : wanted);
   tables_.push_back(std::make_unique<BucketArray>(n));
   current_.store(tables_.back().get(), std::memory_order_release);
 }
 
 HashIndex::~HashIndex() {
-  // Migrated buckets have empty chains, so this frees each entry once.
+  // Migrated buckets have no overflow chain, so this frees each node once.
   for (auto& table : tables_) {
-    for (auto& bucket : table->buckets) {
-      Entry* e = bucket.head;
+    for (uint64_t i = 0; i < table->size(); ++i) {
+      Entry* e = table->buckets[i].overflow;
       while (e != nullptr) {
         Entry* next = e->next;
         delete e;
@@ -45,7 +61,7 @@ HashIndex::Bucket* HashIndex::LockBucket(uint64_t key,
       *out = t;
       return b;
     }
-    // Chain moved to the successor. `successor` was written before this
+    // Entries moved to the successor. `successor` was written before this
     // table was published as a resize source and the migrator's unlock
     // (release) ordered it before our lock (acquire), so it is visible.
     b->Unlock();
@@ -60,23 +76,30 @@ void HashIndex::MigrateOneBucket(BucketArray* src, uint64_t index) {
   // Move each entry to its new home bucket. With a power-of-two doubling
   // every key in src bucket i lands in dst bucket i or i + src_size, but
   // rehashing through the mask keeps this independent of the growth factor.
-  Entry* e = from.head;
+  auto rehome = [dst](uint64_t key, Row* row) {
+    Bucket& to = dst->buckets[FnvHash64(key) & dst->mask];
+    to.Lock();
+    to.PushLocked(key, row);
+    to.Unlock();
+  };
+  for (uint32_t i = 0; i < from.used; ++i) {
+    rehome(from.slots[i].key, from.slots[i].row);
+  }
+  Entry* e = from.overflow;
   while (e != nullptr) {
     Entry* next = e->next;
-    Bucket& to = dst->buckets[FnvHash64(e->key) & dst->mask];
-    to.Lock();
-    e->next = to.head;
-    to.head = e;
-    to.Unlock();
+    rehome(e->key, e->row);
+    delete e;
     e = next;
   }
-  from.head = nullptr;
+  from.used = 0;
+  from.overflow = nullptr;
   from.migrated = true;
   from.Unlock();
 
   const uint64_t done =
       src->migrated_count.fetch_add(1, std::memory_order_acq_rel) + 1;
-  if (done == src->buckets.size()) {
+  if (done == src->size()) {
     // Last bucket drained: install the new table. Order matters — a thread
     // that loads the fresh current_ must never re-enter the drained source,
     // and a thread that raced past the old resize_src_ just falls through
@@ -91,7 +114,7 @@ void HashIndex::MaybeGrowAndHelp() {
   if (resize_src_.load(std::memory_order_acquire) == nullptr) {
     BucketArray* cur = current_.load(std::memory_order_acquire);
     if (entries_.load(std::memory_order_relaxed) >
-        cur->buckets.size() * kGrowLoadFactor) {
+        cur->size() * kGrowLoadFactor) {
       MutexLock lock(&resize_mu_);
       // Re-check under the mutex: another thread may have started (or even
       // finished) a resize since the racy test above.
@@ -99,9 +122,9 @@ void HashIndex::MaybeGrowAndHelp() {
       if (resize_src_.load(std::memory_order_acquire) == nullptr &&
           cur->successor == nullptr &&
           entries_.load(std::memory_order_relaxed) >
-              cur->buckets.size() * kGrowLoadFactor) {
+              cur->size() * kGrowLoadFactor) {
         tables_.push_back(
-            std::make_unique<BucketArray>(cur->buckets.size() * 2));
+            std::make_unique<BucketArray>(cur->size() * 2));
         cur->successor = tables_.back().get();
         // Publish: from here on writers help drain `cur`.
         resize_src_.store(cur, std::memory_order_release);
@@ -113,7 +136,7 @@ void HashIndex::MaybeGrowAndHelp() {
   for (uint64_t i = 0; i < kMigrateStride; ++i) {
     const uint64_t index =
         src->next_to_migrate.fetch_add(1, std::memory_order_relaxed);
-    if (index >= src->buckets.size()) return;
+    if (index >= src->size()) return;
     MigrateOneBucket(src, index);
   }
 }
@@ -123,15 +146,19 @@ Status HashIndex::InsertImpl(uint64_t key, Row* row, bool unique) {
   BucketArray* table;
   Bucket* bucket = LockBucket(key, &table);
   bucket->AssertHeld();
-  for (Entry* e = bucket->head; e != nullptr; e = e->next) {
-    if (e->key == key) {
-      if (unique || e->row == row) {
-        bucket->Unlock();
-        return Status::AlreadyExists("hash index key exists");
-      }
-    }
+  bool exists = false;
+  for (uint32_t i = 0; i < bucket->used && !exists; ++i) {
+    const Slot& s = bucket->slots[i];
+    exists = s.key == key && (unique || s.row == row);
   }
-  bucket->head = new Entry{key, row, bucket->head};
+  for (Entry* e = bucket->overflow; e != nullptr && !exists; e = e->next) {
+    exists = e->key == key && (unique || e->row == row);
+  }
+  if (exists) {
+    bucket->Unlock();
+    return Status::AlreadyExists("hash index key exists");
+  }
+  bucket->PushLocked(key, row);
   bucket->Unlock();
   entries_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
@@ -149,7 +176,14 @@ Row* HashIndex::Lookup(uint64_t key) const {
   BucketArray* table;
   Bucket* bucket = LockBucket(key, &table);
   bucket->AssertHeld();
-  for (Entry* e = bucket->head; e != nullptr; e = e->next) {
+  for (uint32_t i = 0; i < bucket->used; ++i) {
+    if (bucket->slots[i].key == key) {
+      Row* row = bucket->slots[i].row;
+      bucket->Unlock();
+      return row;
+    }
+  }
+  for (Entry* e = bucket->overflow; e != nullptr; e = e->next) {
     if (e->key == key) {
       Row* row = e->row;
       bucket->Unlock();
@@ -164,7 +198,10 @@ void HashIndex::LookupAll(uint64_t key, std::vector<Row*>* out) const {
   BucketArray* table;
   Bucket* bucket = LockBucket(key, &table);
   bucket->AssertHeld();
-  for (Entry* e = bucket->head; e != nullptr; e = e->next) {
+  for (uint32_t i = 0; i < bucket->used; ++i) {
+    if (bucket->slots[i].key == key) out->push_back(bucket->slots[i].row);
+  }
+  for (Entry* e = bucket->overflow; e != nullptr; e = e->next) {
     if (e->key == key) out->push_back(e->row);
   }
   bucket->Unlock();
@@ -175,20 +212,36 @@ bool HashIndex::Remove(uint64_t key, Row* row) {
   BucketArray* table;
   Bucket* bucket = LockBucket(key, &table);
   bucket->AssertHeld();
-  Entry** link = &bucket->head;
-  while (*link != nullptr) {
-    Entry* e = *link;
-    if (e->key == key && e->row == row) {
-      *link = e->next;
-      bucket->Unlock();
-      delete e;
-      entries_.fetch_sub(1, std::memory_order_relaxed);
-      return true;
-    }
-    link = &e->next;
+  // An inline hit is refilled from the overflow head, or else from the last
+  // used slot, so slots stay dense and overflow implies full slots. Either
+  // way at most one overflow node is unlinked: the one at `*link`.
+  Entry** link = &bucket->overflow;
+  uint32_t i = 0;
+  while (i < bucket->used &&
+         (bucket->slots[i].key != key || bucket->slots[i].row != row)) {
+    ++i;
   }
+  if (i < bucket->used) {
+    if (*link == nullptr) {
+      bucket->slots[i] = bucket->slots[--bucket->used];
+    } else {
+      bucket->slots[i] = Slot{(*link)->key, (*link)->row};
+    }
+  } else {
+    while (*link != nullptr && ((*link)->key != key || (*link)->row != row)) {
+      link = &(*link)->next;
+    }
+    if (*link == nullptr) {
+      bucket->Unlock();
+      return false;
+    }
+  }
+  Entry* dead = *link;
+  if (dead != nullptr) *link = dead->next;
   bucket->Unlock();
-  return false;
+  delete dead;
+  entries_.fetch_sub(1, std::memory_order_relaxed);
+  return true;
 }
 
 Status HashIndex::Scan(uint64_t lo, uint64_t hi, size_t limit,

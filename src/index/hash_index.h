@@ -2,15 +2,23 @@
 #define NEXT700_INDEX_HASH_INDEX_H_
 
 /// \file
-/// Chained hash index with per-bucket byte latches and incremental doubling.
+/// Hash index with cache-line buckets, per-bucket byte latches and
+/// incremental doubling.
 ///
-/// The bucket array starts at a size derived from the capacity hint. When
-/// the load factor (entries / buckets) exceeds kGrowLoadFactor, a table of
-/// twice as many buckets is published and writers migrate a few source
-/// buckets per operation (latched, one bucket at a time); the writer that
-/// migrates the last bucket swaps the new table in. Only Entry chain nodes
-/// move — Row* values handed out by Lookup stay valid forever, and readers
-/// are never blocked for more than one bucket's migration.
+/// Each bucket is one 64-byte, cache-line-aligned struct: the byte latch,
+/// the `migrated` flag, a count of used slots, kSlots inline (key, Row*)
+/// pairs and the head of an overflow Entry chain that is used only when the
+/// inline slots are full. A probe that finds its key inline touches one
+/// line before the row; only overflow entries are heap-allocated.
+///
+/// The bucket array starts at bit_ceil(capacity_hint / kGrowLoadFactor)
+/// buckets. When the load factor (entries / buckets) exceeds
+/// kGrowLoadFactor, a table of twice as many buckets is published and
+/// writers migrate a few source buckets per operation (latched, one bucket
+/// at a time); the writer that migrates the last bucket swaps the new table
+/// in. Only (key, Row*) pairs move — Row* values handed out by Lookup stay
+/// valid forever, and readers are never blocked for more than one bucket's
+/// migration.
 ///
 /// Concurrency protocol: an operation latches the bucket its key maps to in
 /// the current table; if that bucket has been migrated it follows the
@@ -22,8 +30,11 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
+#include "common/latch.h"
+#include "common/macros.h"
 #include "common/rng.h"
 #include "common/thread_safety.h"
 #include "index/index.h"
@@ -40,8 +51,12 @@ class HashIndex : public Index {
   /// transition window (and the extra lookup hop) short.
   static constexpr uint64_t kMigrateStride = 4;
 
+  /// Inline (key, Row*) pairs per bucket; with the latch byte, the flags
+  /// and the overflow head they fill exactly one cache line.
+  static constexpr uint32_t kSlots = 3;
+
   /// `capacity_hint` is the expected number of entries; the initial bucket
-  /// array is sized to keep expected chain length around 1.
+  /// array is sized so that loading that many does not trigger a doubling.
   HashIndex(Table* table, uint64_t capacity_hint);
   ~HashIndex() override;
 
@@ -61,7 +76,7 @@ class HashIndex : public Index {
   }
 
   uint64_t num_buckets() const {
-    return current_.load(std::memory_order_acquire)->buckets.size();
+    return current_.load(std::memory_order_acquire)->size();
   }
   /// Completed doublings (observability for tests and F11 commentary).
   uint64_t num_rehashes() const {
@@ -75,12 +90,21 @@ class HashIndex : public Index {
     Entry* next;
   };
 
-  struct CAPABILITY("bucket") Bucket {
+  struct Slot {
+    uint64_t key;
+    Row* row;
+  };
+
+  struct CAPABILITY("bucket") NEXT700_CACHE_ALIGNED Bucket {
     std::atomic<uint8_t> latch{0};
-    Entry* head GUARDED_BY(this) = nullptr;
-    /// Set (under the latch) when this bucket's chain has been moved to the
-    /// owning table's successor; the bucket is dead from then on.
+    /// Set (under the latch) when this bucket's entries have been moved to
+    /// the owning table's successor; the bucket is dead from then on.
     bool migrated GUARDED_BY(this) = false;
+    /// Slots [0, used) hold entries. `overflow` is non-null only while all
+    /// kSlots are used.
+    uint8_t used GUARDED_BY(this) = 0;
+    Entry* overflow GUARDED_BY(this) = nullptr;
+    Slot slots[kSlots] GUARDED_BY(this);
 
     void Lock() ACQUIRE() {
       while (latch.exchange(1, std::memory_order_acquire) != 0) CpuRelax();
@@ -89,11 +113,32 @@ class HashIndex : public Index {
     /// Re-establishes the capability after LockBucket() hands a latched
     /// bucket across the call boundary (which TSA cannot track).
     void AssertHeld() ASSERT_CAPABILITY(this) {}
+
+    /// Adds (key, row) to the first free slot, or to the overflow chain
+    /// once the slots are full.
+    void PushLocked(uint64_t key, Row* row) REQUIRES(this) {
+      if (used < kSlots) {
+        slots[used++] = Slot{key, row};
+      } else {
+        overflow = new Entry{key, row, overflow};
+      }
+    }
   };
+  static_assert(sizeof(Bucket) == kCacheLineSize,
+                "hash bucket must stay one cache line");
+  static_assert(std::is_trivially_destructible_v<Bucket>,
+                "bucket arrays are unmapped without running destructors");
 
   struct BucketArray {
-    explicit BucketArray(uint64_t n) : buckets(n), mask(n - 1) {}
-    mutable std::vector<Bucket> buckets;
+    explicit BucketArray(uint64_t n);
+    ~BucketArray();
+    uint64_t size() const { return mask + 1; }
+    /// size() buckets in their own anonymous mapping: page-aligned (so
+    /// cache-line-aligned) and pre-faulted in one call. An over-aligned
+    /// heap array cost more: value-initializing it wrote every slot, and
+    /// glibc served each large over-aligned request from a fresh mmap
+    /// anyway, faulted in one page at a time.
+    Bucket* buckets;
     uint64_t mask;
     /// Target of the resize draining this table. Written once, before the
     /// table is published as a resize source; a thread that observes a
@@ -102,7 +147,7 @@ class HashIndex : public Index {
     /// Next source bucket index to claim (resize work queue).
     std::atomic<uint64_t> next_to_migrate{0};
     /// Source buckets fully migrated; the thread that moves this to
-    /// buckets.size() performs the table swap.
+    /// size() performs the table swap.
     std::atomic<uint64_t> migrated_count{0};
   };
 

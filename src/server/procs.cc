@@ -13,12 +13,15 @@ uint64_t RegisterKvService(Engine* engine, const KvServiceOptions& options) {
   Schema schema;
   schema.AddChar("value", options.value_size);
   Table* table = engine->CreateTable("kv", std::move(schema));
-  Index* index = engine->CreateIndex("kv_pk", table, options.index_kind,
-                                     options.num_records * 2);
-  const uint32_t num_partitions = engine->options().num_partitions;
-  const uint32_t row_size = table->schema().row_size();
   NEXT700_CHECK(options.num_shards >= 1);
   NEXT700_CHECK(options.shard_id < options.num_shards);
+  // Sized for the keys this shard holds: the service never adds a key.
+  const uint64_t shard_records =
+      (options.num_records + options.num_shards - 1) / options.num_shards;
+  Index* index = engine->CreateIndex("kv_pk", table, options.index_kind,
+                                     shard_records);
+  const uint32_t num_partitions = engine->options().num_partitions;
+  const uint32_t row_size = table->schema().row_size();
   uint64_t loaded = 0;
   if (options.load_rows) {
     std::vector<uint8_t> value(row_size, 0);

@@ -6,7 +6,8 @@
 /// exactly zero heap allocations under SILO and MVTO. The 2PL schemes
 /// (NO_WAIT, WAIT_DIE, WOUND_WAIT) must stay at zero with writes in the mix,
 /// including on rows locked for the first time: lock entries live in the
-/// row header and the transaction arena, never on the heap.
+/// row header and the transaction arena, never on the heap. Loading a hash
+/// index sized for its keys allocates only bucket overflow nodes.
 ///
 /// This file is its own test binary (see tests/CMakeLists.txt): replacing
 /// operator new is binary-global, and the main suite should not run under
@@ -17,11 +18,21 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
+#include "index/hash_index.h"
+#include "storage/table.h"
 #include "workload/ycsb.h"
 
 namespace {
 std::atomic<uint64_t> g_allocs{0};
+
+// Every replacement delete frees through here. Kept out of line: once a
+// delete is inlined next to the operator new call that produced its
+// pointer, GCC reports free() on it as a mismatched deallocation
+// (-Wmismatched-new-delete), although the shim's news allocate with
+// malloc and posix_memalign.
+[[gnu::noinline]] void FreeShim(void* p) noexcept { std::free(p); }
 }  // namespace
 
 void* operator new(std::size_t size) {
@@ -43,17 +54,17 @@ void* operator new(std::size_t size, std::align_val_t align) {
 void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { FreeShim(p); }
+void operator delete(void* p, std::size_t) noexcept { FreeShim(p); }
+void operator delete[](void* p) noexcept { FreeShim(p); }
+void operator delete[](void* p, std::size_t) noexcept { FreeShim(p); }
+void operator delete(void* p, std::align_val_t) noexcept { FreeShim(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  FreeShim(p);
 }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { FreeShim(p); }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  FreeShim(p);
 }
 
 namespace next700 {
@@ -124,6 +135,31 @@ TEST(AllocRegressionTest, WaitDieWriteMixIsAllocationFree) {
 TEST(AllocRegressionTest, WoundWaitWriteMixIsAllocationFree) {
   EXPECT_EQ(TwoPhaseLockingAllocations(CcScheme::kWoundWait, false), 0u);
   EXPECT_EQ(TwoPhaseLockingAllocations(CcScheme::kWoundWait, true), 0u);
+}
+
+// Inline bucket slots hold most entries: at the load factor the capacity
+// hint is sized for (kGrowLoadFactor entries per bucket), about one entry
+// in nine spills to an overflow node. One node per entry would be kKeys.
+TEST(AllocRegressionTest, HashIndexLoadAllocatesOnlyOverflowNodes) {
+  constexpr uint64_t kKeys = 1 << 16;
+  Schema schema;
+  schema.AddUint64("v");
+  Table table(0, "t", std::move(schema), 1);
+  std::vector<Row*> rows;
+  for (uint64_t k = 0; k < kKeys; ++k) rows.push_back(table.AllocateRow(0));
+
+  uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  HashIndex index(&table, kKeys);
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    ASSERT_TRUE(index.Insert(k, rows[k]).ok());
+  }
+  EXPECT_LT(g_allocs.load(std::memory_order_relaxed) - before, kKeys / 5);
+
+  before = g_allocs.load(std::memory_order_relaxed);
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    ASSERT_EQ(index.Lookup(k), rows[k]);
+  }
+  EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - before, 0u);
 }
 
 // Sanity-check the shim itself: a vector growth must be visible, otherwise

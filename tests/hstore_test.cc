@@ -53,7 +53,7 @@ TEST_F(HstoreTest, SamePartitionBlocksUntilRelease) {
   std::thread blocked([&] {
     TxnContext* txn = engine_->Begin(1, {2});  // Blocks in Begin.
     entered.store(true);
-    engine_->Commit(txn);
+    EXPECT_TRUE(engine_->Commit(txn).ok());
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(entered.load());  // Partition lock held by `holder`.

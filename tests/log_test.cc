@@ -524,7 +524,9 @@ TEST(LogManagerTest, ReadFramesInRangeWhileAppendsContinue) {
   std::thread writer([&] {
     for (int i = 0; i < 400; ++i) {
       const Lsn lsn = log.Append(LogRecordType::kTxnValue, body);
-      if (i % 32 == 0) ASSERT_TRUE(log.WaitDurable(lsn).ok());
+      if (i % 32 == 0) {
+        ASSERT_TRUE(log.WaitDurable(lsn).ok());
+      }
     }
     ASSERT_TRUE(log.WaitDurable(log.appended_lsn()).ok());
     done.store(true, std::memory_order_release);
