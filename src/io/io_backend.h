@@ -3,18 +3,18 @@
 
 /// \file
 /// The async I/O spine: a submission/completion-queue abstraction shared by
-/// the network event loop and the log-device flusher. Callers *submit*
-/// operations (read, writev, accept, fsync) tagged with a user_data cookie
-/// and later *reap* completions — the syscall-per-operation readiness model
-/// is gone from the callers, which lets one backend amortize many
-/// operations per kernel entry.
+/// the network tier's event loop (server::ConnLoop, which runs every socket
+/// of the server and the shard router) and the log-device flusher. Callers
+/// *submit* operations (read, writev, accept, fsync) tagged with a
+/// user_data cookie and later *reap* completions — the syscall-per-operation
+/// readiness model is gone from the callers, which lets one backend amortize
+/// many operations per kernel entry.
 ///
 /// Two implementations:
 ///  - `uring`: a liburing-free raw io_uring ring (syscall wrappers + ring
-///    mmap). Feature-probed at startup: multishot accept and registered
-///    read buffers are used where the kernel supports them, with runtime
-///    fallbacks where it does not. Write + fsync pairs can be linked into
-///    a single submission (the log path's group-commit barrier).
+///    mmap). Multishot accept is feature-probed at runtime, with a oneshot
+///    fallback where the kernel lacks it. Write + fsync pairs can be linked
+///    into a single submission (the log path's group-commit barrier).
 ///  - `epoll`: a portable fallback that keeps epoll underneath but
 ///    preserves the completion-queue surface: submitted writevs are
 ///    attempted immediately (one gather syscall for every frame queued on
@@ -22,13 +22,12 @@
 ///    accepts and reads are drained per readiness event.
 ///
 /// Threading contract: Submit*/Reap/CancelFd belong to one owner thread
-/// (the event loop, or the log flusher — each owner builds its own
-/// backend). Wakeup() is the only thread-safe entry point; it surfaces as
-/// an Op::kWakeup completion in the owner's Reap. Multi-loop owners (the
-/// server's worker loops, the shard router's session loops) fan work
-/// across backends by handing descriptors or results to the target loop
-/// through their own mailbox and calling that loop's Wakeup() — fds and
-/// submissions never migrate between live backends.
+/// (an event loop, or the log flusher — each owner builds its own backend).
+/// Wakeup() is the only thread-safe entry point; it surfaces as an
+/// Op::kWakeup completion in the owner's Reap. A group of loops (the shard
+/// router's) hands accepted descriptors to another loop through that
+/// loop's inbox and Wakeup() — fds and submissions never migrate between
+/// live backends.
 ///
 /// Buffer lifetime: buffers and iovec arrays handed to Submit* must stay
 /// valid (and un-moved) until the matching completion is reaped or the fd
@@ -128,15 +127,6 @@ class IoBackend {
 
   /// Thread-safe: wakes a blocked Reap, surfacing one Op::kWakeup event.
   virtual void Wakeup() = 0;
-
-  /// Optional registered-buffer pool (uring fixed buffers). Returns null
-  /// when the backend has no pool or it is exhausted; callers fall back to
-  /// heap buffers. Reads from a pool buffer skip the per-op pin/unpin.
-  virtual uint8_t* AcquireReadBuffer(size_t* size) {
-    (void)size;
-    return nullptr;
-  }
-  virtual void ReleaseReadBuffer(uint8_t* buf) { (void)buf; }
 
   const IoCounters& counters() const { return counters_; }
 

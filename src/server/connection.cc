@@ -64,9 +64,9 @@ void Connection::ConsumeWritten(size_t n) {
 }
 
 uint8_t* Connection::EnsureReadBuffer(size_t len) {
+  // No zero-fill: the kernel writes every byte a read reports.
   if (read_buf_ == nullptr) {
-    read_buf_ = std::make_unique<uint8_t[]>(len);
-    read_buf_len_ = len;
+    read_buf_ = std::make_unique_for_overwrite<uint8_t[]>(len);
   }
   return read_buf_.get();
 }

@@ -2,10 +2,10 @@
 #define NEXT700_SERVER_CONNECTION_H_
 
 /// \file
-/// Per-connection state of the networked transaction service. A Connection
-/// is owned and touched exclusively by the server's event-loop thread, so
-/// it needs no internal locking; worker threads hand results back through
-/// the server's completion queue, never through the connection directly.
+/// Per-connection state of the network tier. A Connection is owned by a
+/// ConnLoop (conn_loop.h) and touched only by that loop's thread, so it
+/// needs no internal locking; worker threads hand results back through
+/// their owner's completion queue, never through the connection directly.
 ///
 /// Pipelining contract: a client may have many requests in flight, and the
 /// server executes them on concurrent workers, so completions arrive out of
@@ -102,7 +102,16 @@ class Connection {
 
   void ConsumeWritten(size_t n);
 
-  // --- Async submission state (event loop only) --------------------------
+  // --- Loop state (ConnLoop only) -----------------------------------------
+
+  /// Closed by the loop; the object stays readable until its batch ends.
+  bool closed() const { return closed_; }
+  void set_closed() { closed_ = true; }
+
+  /// Owner-defined tag (the shard router points a link's connection at its
+  /// ShardLink); null by default.
+  void* context() const { return context_; }
+  void set_context(void* context) { context_ = context; }
 
   /// A read is outstanding on the io backend for this fd.
   bool read_inflight() const { return read_inflight_; }
@@ -119,7 +128,7 @@ class Connection {
   struct iovec* iov() { return iov_; }
 
   /// New frames were queued this event-loop batch; a writev submission is
-  /// owed at batch end (the server's dirty list).
+  /// owed at batch end (the loop's dirty list).
   bool flush_pending() const { return flush_pending_; }
   void set_flush_pending(bool v) { flush_pending_ = v; }
 
@@ -128,9 +137,8 @@ class Connection {
   /// read, which connection teardown guarantees via CancelFd-before-free).
   uint8_t* EnsureReadBuffer(size_t len);
   uint8_t* read_buf() const { return read_buf_.get(); }
-  size_t read_buf_len() const { return read_buf_len_; }
 
-  /// Reads stopped because the server-wide in-flight budget is full.
+  /// Reads stopped by the owner (the server's in-flight budget is full).
   bool read_paused() const { return read_paused_; }
   void set_read_paused(bool v) { read_paused_ = v; }
 
@@ -156,13 +164,14 @@ class Connection {
   struct iovec iov_[kMaxIov];
 
   std::unique_ptr<uint8_t[]> read_buf_;
-  size_t read_buf_len_ = 0;
 
   bool read_inflight_ = false;
   bool write_inflight_ = false;
   bool flush_pending_ = false;
   bool read_paused_ = false;
   bool draining_ = false;
+  bool closed_ = false;
+  void* context_ = nullptr;
 };
 
 }  // namespace server

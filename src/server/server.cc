@@ -1,14 +1,8 @@
 #include "server/server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 
 namespace next700 {
 namespace server {
@@ -23,15 +17,6 @@ uint32_t ResumeWatermark(uint32_t budget) { return budget - budget / 4; }
 /// bytes sit unsent in the connection's write buffer. A slow replica
 /// backpressures through TCP instead of ballooning primary memory.
 constexpr size_t kShipWindowBytes = 4 * kMaxReplBatchBytes;
-
-/// Socket read buffer per connection (one outstanding read each).
-constexpr size_t kReadBufBytes = 64 * 1024;
-
-/// Completion routing: conn ids start at 1, so (id << 1 | tag) is always
-/// >= 2 and the accept cookie below can never collide with it.
-constexpr uint64_t kAcceptUd = 1;
-uint64_t ReadUd(uint64_t conn_id) { return conn_id << 1; }
-uint64_t WriteUd(uint64_t conn_id) { return (conn_id << 1) | 1; }
 
 }  // namespace
 
@@ -50,31 +35,17 @@ Status Server::Start() {
   NEXT700_CHECK(!running_.load());
   // kUring fails loudly here on kernels without a usable ring; kAuto
   // quietly resolves to the batched-epoll fallback.
-  NEXT700_RETURN_IF_ERROR(io::CreateIoBackend(options_.io_backend, &io_));
-
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
-                        0);
-  if (listen_fd_ < 0) return Status::IOError("socket() failed");
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
-    return Status::InvalidArgument("bad listen address: " + options_.host);
+  NEXT700_RETURN_IF_ERROR(ConnLoop::Create(
+      options_.io_backend, this,
+      {&stats_.writev_batches, &stats_.frames_batched, &stats_.accept_errors},
+      &loop_));
+  const Status listening =
+      loop_->Listen(options_.host, options_.port, options_.listen_backlog,
+                    /*group=*/{}, &bound_port_);
+  if (!listening.ok()) {
+    loop_.reset();
+    return listening;
   }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    return Status::IOError("bind() failed: " + std::string(strerror(errno)));
-  }
-  if (::listen(listen_fd_, options_.listen_backlog) < 0) {
-    return Status::IOError("listen() failed");
-  }
-  socklen_t addr_len = sizeof(addr);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &addr_len);
-  bound_port_ = ntohs(addr.sin_port);
 
   // Queue-oriented dispatch for the partitioned composition: partition p is
   // served by worker (p mod workers), so single-partition transactions on
@@ -98,7 +69,7 @@ Status Server::Start() {
           if (sync_commit) ReleaseDurable(ReleaseWatermark(durable));
           if (replica_count_.load(std::memory_order_acquire) > 0) {
             ship_pending_.store(true, std::memory_order_release);
-            io_->Wakeup();
+            loop_->Wakeup();
           }
         });
   }
@@ -107,12 +78,11 @@ Status Server::Start() {
   // recovery surfaced is resolved by its coordinator.
   in_doubt_gate_ = engine_->has_in_doubt();
 
-  stop_requested_.store(false);
   running_.store(true);
   for (int i = 0; i < options_.num_workers; ++i) {
     workers_.emplace_back([this, i] { WorkerLoop(i); });
   }
-  loop_thread_ = std::thread([this] { EventLoop(); });
+  loop_thread_ = std::thread([this] { loop_->Run(); });
   return Status::OK();
 }
 
@@ -123,8 +93,7 @@ void Server::Stop() {
     // flusher can no longer call into this object.
     engine_->log_manager()->SetDurableCallback(nullptr);
   }
-  stop_requested_.store(true);
-  io_->Wakeup();
+  loop_->Stop();
   loop_thread_.join();
 
   // Release workers parked on undecided prepared branches: they abort in
@@ -147,116 +116,29 @@ void Server::Stop() {
   workers_.clear();
   queues_.clear();
 
-  for (auto& [id, conn] : connections_) {
-    (void)id;
-    ::close(conn->fd());
-  }
-  connections_.clear();
-  dirty_.clear();
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-  // Last: workers called io_->Wakeup() through PushCompletion until the
-  // join above, so the backend must outlive them.
-  io_.reset();
+  // Last: workers called loop_->Wakeup() through PushCompletion until the
+  // join above, so the loop (which closes every socket) must outlive them.
+  loop_.reset();
   running_.store(false);
 }
 
-void Server::EventLoop() {
-  // The loop thread owns the backend from here on (Submit*/Reap/CancelFd
-  // are single-owner calls), which is why the accept is armed here and
-  // not in Start().
-  (void)io_->SubmitAccept(listen_fd_, kAcceptUd);
-  constexpr int kMaxEvents = 64;
-  io::IoEvent events[kMaxEvents];
-  while (!stop_requested_.load(std::memory_order_acquire)) {
-    const int n = io_->Reap(events, kMaxEvents, /*timeout_ms=*/-1);
-    if (n < 0) break;
-    for (int i = 0; i < n; ++i) {
-      const io::IoEvent& event = events[i];
-      switch (event.op) {
-        case io::IoEvent::Op::kWakeup:
-          DrainCompletions();
-          if (ship_pending_.exchange(false, std::memory_order_acq_rel)) {
-            ShipAll();
-          }
-          break;
-        case io::IoEvent::Op::kAccept:
-          // Transient accept errors surface as negative results; the
-          // backend has already re-armed the accept either way.
-          if (event.result >= 0) HandleAccept(event.result);
-          break;
-        case io::IoEvent::Op::kRead:
-          HandleReadComplete(event.user_data >> 1, event.result);
-          break;
-        case io::IoEvent::Op::kWrite:
-          HandleWriteComplete(event.user_data >> 1, event.result);
-          break;
-        case io::IoEvent::Op::kFsync:
-          break;  // The network path never submits fsyncs.
-      }
-    }
-    // Batch end: everything that became writable above goes out as one
-    // writev per connection.
-    FlushDirty();
-  }
-}
-
-void Server::HandleAccept(int fd) {
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  const uint64_t id = next_conn_id_++;
-  auto conn = std::make_unique<Connection>(fd, id);
+void Server::OnAccepted(Connection* conn) {
   conn->set_read_paused(reads_paused_);
-  Connection* raw = conn.get();
-  connections_[id] = std::move(conn);
   stats_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
-  StartRead(raw);
 }
 
-void Server::StartRead(Connection* conn) {
-  if (conn->read_inflight() || conn->read_paused() || conn->draining()) {
-    return;
-  }
-  uint8_t* buf = conn->EnsureReadBuffer(kReadBufBytes);
-  const Status submitted =
-      io_->SubmitRead(conn->fd(), buf, conn->read_buf_len(),
-                      ReadUd(conn->id()));
-  if (!submitted.ok()) {
-    CloseConnection(conn);
-    return;
-  }
-  conn->set_read_inflight(true);
+void Server::OnWriteDrained(Connection* conn) {
+  // A drained replica socket reopens the shipping window.
+  ShipToReplica(conn);
 }
 
-void Server::HandleReadComplete(uint64_t conn_id, int32_t result) {
-  auto it = connections_.find(conn_id);
-  if (it == connections_.end()) return;  // Closed with the read in flight.
-  Connection* conn = it->second.get();
-  conn->set_read_inflight(false);
-  if (result == 0) {
-    // Peer half-closed: finish buffered work, flush replies, then close.
-    conn->set_draining();
-    DrainFrames(conn);
-    return;
-  }
-  if (result < 0) {
-    if (result == -EAGAIN || result == -EINTR) {
-      StartRead(conn);  // Spurious readiness or signal: re-arm.
-      return;
-    }
-    CloseConnection(conn);
-    return;
-  }
-  conn->decoder()->Feed(conn->read_buf(), static_cast<size_t>(result));
-  DrainFrames(conn);  // May pause reads or close `conn`.
-  auto again = connections_.find(conn_id);
-  if (again == connections_.end()) return;
-  StartRead(again->second.get());
+void Server::OnWakeup() {
+  DrainCompletions();
+  if (ship_pending_.exchange(false, std::memory_order_acq_rel)) ShipAll();
 }
 
 void Server::DrainFrames(Connection* conn) {
-  const uint64_t conn_id = conn->id();
-  for (;;) {
+  while (!conn->closed()) {
     // The admission budget throttles client requests only; handshakes and
     // replica acks must keep flowing (acks release held replies).
     if (conn->handshaken() && conn->peer() == PeerRole::kClient &&
@@ -266,60 +148,48 @@ void Server::DrainFrames(Connection* conn) {
     }
     Frame frame;
     bool have = false;
-    const Status stream_ok = conn->decoder()->Next(&frame, &have);
-    if (!stream_ok.ok()) {
+    if (!conn->decoder()->Next(&frame, &have).ok()) {
       // Oversized or garbage header: the stream cannot be resynchronized.
-      stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      stats_.connections_dropped.fetch_add(1, std::memory_order_relaxed);
-      CloseConnection(conn);
+      DropConnection(conn);
       return;
     }
     if (!have) break;
     if (!conn->handshaken()) {
-      if (!HandleHello(conn, frame)) return;
-      if (connections_.find(conn_id) == connections_.end()) return;
-      continue;
-    }
-    if (frame.type == FrameType::kReplAck &&
-        conn->peer() == PeerRole::kReplica) {
-      if (!HandleReplAck(conn, frame)) return;
-      if (connections_.find(conn_id) == connections_.end()) return;
-      continue;
-    }
-    if (conn->peer() == PeerRole::kCoordinator &&
-        frame.type != FrameType::kRequest) {
-      if (!HandleCoordinatorFrame(conn, frame)) return;
-      if (connections_.find(conn_id) == connections_.end()) return;
-      continue;
-    }
-    if (frame.type != FrameType::kRequest ||
-        (conn->peer() != PeerRole::kClient &&
-         conn->peer() != PeerRole::kCoordinator)) {
-      stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      stats_.connections_dropped.fetch_add(1, std::memory_order_relaxed);
-      CloseConnection(conn);
-      return;
-    }
-    Request request;
-    const Status decoded = DecodeRequest(frame.body, frame.body_len, &request);
-    if (!decoded.ok()) {
+      HandleHello(conn, frame);
+    } else if (frame.type == FrameType::kReplAck &&
+               conn->peer() == PeerRole::kReplica) {
+      HandleReplAck(conn, frame);
+    } else if (conn->peer() == PeerRole::kCoordinator &&
+               frame.type != FrameType::kRequest) {
+      HandleCoordinatorFrame(conn, frame);
+    } else if (frame.type != FrameType::kRequest ||
+               (conn->peer() != PeerRole::kClient &&
+                conn->peer() != PeerRole::kCoordinator)) {
+      DropConnection(conn);
+    } else {
+      Request request;
+      if (DecodeRequest(frame.body, frame.body_len, &request).ok()) {
+        DispatchRequest(conn, std::move(request));
+        continue;
+      }
       // Framing is intact, so the connection survives; answer with an error.
       stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      const uint64_t seq = conn->AdmitRequest();
       Response response;
       response.request_id = request.request_id;
       response.status = StatusCode::kInvalidArgument;
-      CompleteInline(conn, seq, response);
-      if (connections_.find(conn_id) == connections_.end()) return;
-      continue;
+      CompleteInline(conn, conn->AdmitRequest(), response);
     }
-    DispatchRequest(conn, std::move(request));
-    if (connections_.find(conn_id) == connections_.end()) return;
   }
-  MaybeCloseDrained(conn);
+  loop_->MaybeCloseDrained(conn);
 }
 
-bool Server::HandleHello(Connection* conn, const Frame& frame) {
+void Server::DropConnection(Connection* conn) {
+  stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
+  stats_.connections_dropped.fetch_add(1, std::memory_order_relaxed);
+  loop_->Close(conn);
+}
+
+void Server::HandleHello(Connection* conn, const Frame& frame) {
   Hello hello;
   Status status = frame.type == FrameType::kHello
                       ? DecodeHello(frame.body, frame.body_len, &hello)
@@ -337,28 +207,22 @@ bool Server::HandleHello(Connection* conn, const Frame& frame) {
   if (!status.ok()) {
     // Loud rejection of mixed-version or non-next700 peers: drop the
     // connection before interpreting a single byte of their payloads.
-    stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-    stats_.connections_dropped.fetch_add(1, std::memory_order_relaxed);
-    CloseConnection(conn);
-    return false;
+    DropConnection(conn);
+    return;
   }
   conn->set_handshaken();
   conn->set_peer(hello.role);
   std::vector<uint8_t> ack;
   EncodeHelloAck(HelloAck{}, &ack);
   conn->EnqueueRaw(ack.data(), ack.size());
-  FlushConnection(conn);  // May close `conn`; callers re-find by id.
-  return true;
+  FlushConnection(conn);
 }
 
-bool Server::HandleReplAck(Connection* conn, const Frame& frame) {
+void Server::HandleReplAck(Connection* conn, const Frame& frame) {
   ReplAck ack;
-  const Status decoded = DecodeReplAck(frame.body, frame.body_len, &ack);
-  if (!decoded.ok()) {
-    stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-    stats_.connections_dropped.fetch_add(1, std::memory_order_relaxed);
-    CloseConnection(conn);
-    return false;
+  if (!DecodeReplAck(frame.body, frame.body_len, &ack).ok()) {
+    DropConnection(conn);
+    return;
   }
   stats_.repl_acks_received.fetch_add(1, std::memory_order_relaxed);
   if (conn->shipper() == nullptr) {
@@ -374,8 +238,7 @@ bool Server::HandleReplAck(Connection* conn, const Frame& frame) {
     RecomputeSemisyncWatermark();
     ReleaseDurable(ReleaseWatermark(engine_->log_manager()->durable_lsn()));
   }
-  ShipToReplica(conn);  // May close `conn`; callers re-find by id.
-  return true;
+  ShipToReplica(conn);
 }
 
 void Server::ShipToReplica(Connection* conn) {
@@ -391,7 +254,7 @@ void Server::ShipToReplica(Connection* conn) {
       // replica cannot catch up by tailing and must re-bootstrap from a
       // checkpoint. Dropping the subscription makes that loud.
       stats_.connections_dropped.fetch_add(1, std::memory_order_relaxed);
-      CloseConnection(conn);
+      loop_->Close(conn);
       return;
     }
     if (!have) break;
@@ -403,26 +266,16 @@ void Server::ShipToReplica(Connection* conn) {
 }
 
 void Server::ShipAll() {
-  std::vector<uint64_t> ids;
-  ids.reserve(connections_.size());
-  for (auto& [id, conn] : connections_) {
-    if (conn->shipper() != nullptr) ids.push_back(id);
-  }
-  for (uint64_t id : ids) {
-    auto it = connections_.find(id);
-    if (it == connections_.end()) continue;
-    ShipToReplica(it->second.get());
-  }
+  loop_->ForEach([this](Connection* conn) { ShipToReplica(conn); });
 }
 
 void Server::RecomputeSemisyncWatermark() {
   Lsn max_acked = 0;
-  for (auto& [id, conn] : connections_) {
-    (void)id;
+  loop_->ForEach([&max_acked](Connection* conn) {
     if (conn->shipper() != nullptr) {
       max_acked = std::max(max_acked, conn->shipper()->acked_durable());
     }
-  }
+  });
   semisync_watermark_.store(max_acked, std::memory_order_release);
 }
 
@@ -435,111 +288,61 @@ Lsn Server::ReleaseWatermark(Lsn durable) const {
                   semisync_watermark_.load(std::memory_order_acquire));
 }
 
-bool Server::HandleCoordinatorFrame(Connection* conn, const Frame& frame) {
+void Server::HandleCoordinatorFrame(Connection* conn, const Frame& frame) {
   switch (frame.type) {
     case FrameType::kPrepare:
-      return HandlePrepare(conn, frame);
+      HandlePrepare(conn, frame);
+      return;
     case FrameType::kCommitDecision:
     case FrameType::kAbortDecision:
-      return HandleDecision(conn, frame);
+      HandleDecision(conn, frame);
+      return;
     case FrameType::kInDoubtQuery:
-      return HandleInDoubtQuery(conn, frame);
+      HandleInDoubtQuery(conn, frame);
+      return;
     default:
-      stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      stats_.connections_dropped.fetch_add(1, std::memory_order_relaxed);
-      CloseConnection(conn);
-      return false;
+      DropConnection(conn);
   }
 }
 
-bool Server::HandlePrepare(Connection* conn, const Frame& frame) {
+void Server::HandlePrepare(Connection* conn, const Frame& frame) {
   Prepare prepare;
-  const Status decoded = DecodePrepare(frame.body, frame.body_len, &prepare);
-  if (!decoded.ok()) {
+  if (!DecodePrepare(frame.body, frame.body_len, &prepare).ok()) {
     // The coordinator is trusted infrastructure; a malformed Prepare means
     // a version skew or corruption, not a user error worth a polite reply.
-    stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-    stats_.connections_dropped.fetch_add(1, std::memory_order_relaxed);
-    CloseConnection(conn);
-    return false;
+    DropConnection(conn);
+    return;
   }
   const uint64_t seq = conn->AdmitRequest();
-  const auto vote_inline = [&](StatusCode code) {
-    Vote vote;
-    vote.gtid = prepare.gtid;
-    vote.status = code;
-    std::vector<uint8_t> encoded;
-    EncodeVote(vote, &encoded);
-    conn->Complete(seq, std::move(encoded));
-    FlushConnection(conn);  // May close `conn`; callers re-find by id.
-  };
-  if (in_doubt_gate_) {
-    if (engine_->has_in_doubt()) {
-      vote_inline(StatusCode::kUnavailable);
-      return true;
-    }
-    in_doubt_gate_ = false;
+  Vote vote;
+  vote.gtid = prepare.gtid;
+  vote.status = CheckRunnable(prepare.proc_id, prepare.partitions);
+  if (vote.status == StatusCode::kOk && options_.snapshot_source != nullptr) {
+    vote.status = StatusCode::kInvalidArgument;  // Replicas never prepare.
   }
-  if (engine_->GetProcedure(prepare.proc_id) == nullptr) {
-    vote_inline(StatusCode::kNotFound);
-    return true;
-  }
-  if (options_.snapshot_source != nullptr) {
-    vote_inline(StatusCode::kInvalidArgument);  // Replicas never prepare.
-    return true;
-  }
-  const uint32_t num_partitions = engine_->options().num_partitions;
-  for (uint32_t p : prepare.partitions) {
-    if (p >= num_partitions) {
-      vote_inline(StatusCode::kInvalidArgument);
-      return true;
+  if (vote.status == StatusCode::kOk) {
+    WorkItem item;
+    item.conn_id = conn->id();
+    item.seq = seq;
+    item.is_prepare = true;
+    item.prepare = std::move(prepare);
+    vote.status = Enqueue(std::move(item));
+    if (vote.status == StatusCode::kOk) {
+      stats_.prepares_dispatched.fetch_add(1, std::memory_order_relaxed);
+      return;
     }
   }
-  WorkQueue* queue =
-      queues_[static_cast<size_t>(WorkerForPartitions(prepare.partitions))]
-          .get();
-  inflight_.fetch_add(1, std::memory_order_relaxed);
-  bool rejected = false;
-  StatusCode reject_code = StatusCode::kOk;
-  {
-    MutexLock lock(&queue->mu);
-    if (queue->stopped) {
-      rejected = true;
-      reject_code = StatusCode::kUnavailable;
-    } else if (queue->items.size() >= options_.queue_capacity) {
-      rejected = true;
-      reject_code = StatusCode::kResourceExhausted;
-    } else {
-      WorkItem item;
-      item.conn_id = conn->id();
-      item.seq = seq;
-      item.is_prepare = true;
-      item.prepare = std::move(prepare);
-      queue->items.push_back(std::move(item));
-    }
-  }
-  if (rejected) {
-    inflight_.fetch_sub(1, std::memory_order_relaxed);
-    if (reject_code == StatusCode::kResourceExhausted) {
-      stats_.admission_rejects.fetch_add(1, std::memory_order_relaxed);
-    }
-    vote_inline(reject_code);
-    return true;
-  }
-  stats_.prepares_dispatched.fetch_add(1, std::memory_order_relaxed);
-  queue->cv.NotifyOne();
-  return true;
+  std::vector<uint8_t> encoded;
+  EncodeVote(vote, &encoded);
+  conn->Complete(seq, std::move(encoded));
+  FlushConnection(conn);
 }
 
-bool Server::HandleDecision(Connection* conn, const Frame& frame) {
+void Server::HandleDecision(Connection* conn, const Frame& frame) {
   Decision decision;
-  const Status decoded =
-      DecodeDecision(frame.body, frame.body_len, &decision);
-  if (!decoded.ok()) {
-    stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-    stats_.connections_dropped.fetch_add(1, std::memory_order_relaxed);
-    CloseConnection(conn);
-    return false;
+  if (!DecodeDecision(frame.body, frame.body_len, &decision).ok()) {
+    DropConnection(conn);
+    return;
   }
   stats_.decisions_received.fetch_add(1, std::memory_order_relaxed);
   const bool commit = frame.type == FrameType::kCommitDecision;
@@ -561,7 +364,7 @@ bool Server::HandleDecision(Connection* conn, const Frame& frame) {
   if (delivered) {
     inflight_.fetch_add(1, std::memory_order_relaxed);
     prepared_cv_.NotifyAll();
-    return true;
+    return;
   }
   // A branch recovery left in doubt resolves here; an unknown gtid is an
   // idempotent redelivery (the previous ack was lost) and acks OK.
@@ -576,15 +379,12 @@ bool Server::HandleDecision(Connection* conn, const Frame& frame) {
   EncodeDecisionAck(ack, &encoded);
   conn->Complete(seq, std::move(encoded));
   FlushConnection(conn);
-  return true;
 }
 
-bool Server::HandleInDoubtQuery(Connection* conn, const Frame& frame) {
+void Server::HandleInDoubtQuery(Connection* conn, const Frame& frame) {
   if (frame.body_len != 0) {
-    stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-    stats_.connections_dropped.fetch_add(1, std::memory_order_relaxed);
-    CloseConnection(conn);
-    return false;
+    DropConnection(conn);
+    return;
   }
   const uint64_t seq = conn->AdmitRequest();
   InDoubtList list;
@@ -603,90 +403,87 @@ bool Server::HandleInDoubtQuery(Connection* conn, const Frame& frame) {
   EncodeInDoubtList(list, &encoded);
   conn->Complete(seq, std::move(encoded));
   FlushConnection(conn);
-  return true;
 }
 
 void Server::DispatchRequest(Connection* conn, Request request) {
   const uint64_t seq = conn->AdmitRequest();
   Response error;
   error.request_id = request.request_id;
-  if (in_doubt_gate_) {
-    if (engine_->has_in_doubt()) {
-      // Recovered in-doubt redo applies outside concurrency control, so no
-      // transaction may run until the coordinator has resolved every gtid.
-      error.status = StatusCode::kUnavailable;
-      CompleteInline(conn, seq, error);
-      return;
-    }
-    in_doubt_gate_ = false;  // Resolved; stop checking per request.
-  }
-  if (engine_->GetProcedure(request.proc_id) == nullptr) {
-    error.status = StatusCode::kNotFound;
-    CompleteInline(conn, seq, error);
-    return;
-  }
-  if (options_.snapshot_source != nullptr) {
+  error.status = CheckRunnable(request.proc_id, request.partitions);
+  if (error.status == StatusCode::kOk && options_.snapshot_source != nullptr) {
     // Replica role: only read-only procedures, and only if the applied
     // snapshot is at least as fresh as the client demands.
     if (!engine_->IsProcedureReadOnly(request.proc_id)) {
-      stats_.snapshot_rejects.fetch_add(1, std::memory_order_relaxed);
       error.status = StatusCode::kInvalidArgument;
-      CompleteInline(conn, seq, error);
-      return;
-    }
-    if (request.min_read_lsn > options_.snapshot_source->applied_lsn()) {
-      stats_.snapshot_rejects.fetch_add(1, std::memory_order_relaxed);
+    } else if (request.min_read_lsn >
+               options_.snapshot_source->applied_lsn()) {
       error.status = StatusCode::kUnavailable;
-      CompleteInline(conn, seq, error);
+    }
+    if (error.status != StatusCode::kOk) {
+      stats_.snapshot_rejects.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  if (error.status == StatusCode::kOk) {
+    WorkItem item;
+    item.conn_id = conn->id();
+    item.seq = seq;
+    item.request = std::move(request);
+    error.status = Enqueue(std::move(item));
+    if (error.status == StatusCode::kOk) {
+      stats_.requests_dispatched.fetch_add(1, std::memory_order_relaxed);
       return;
     }
   }
+  CompleteInline(conn, seq, error);
+}
+
+StatusCode Server::CheckRunnable(uint32_t proc_id,
+                                 const std::vector<uint32_t>& partitions) {
+  if (in_doubt_gate_) {
+    // Recovered in-doubt redo applies outside concurrency control, so no
+    // transaction may run until the coordinator has resolved every gtid.
+    if (engine_->has_in_doubt()) return StatusCode::kUnavailable;
+    in_doubt_gate_ = false;  // Resolved; stop checking per request.
+  }
+  if (engine_->GetProcedure(proc_id) == nullptr) return StatusCode::kNotFound;
   const uint32_t num_partitions = engine_->options().num_partitions;
-  for (uint32_t p : request.partitions) {
-    if (p >= num_partitions) {
-      error.status = StatusCode::kInvalidArgument;
-      CompleteInline(conn, seq, error);
-      return;
-    }
+  for (uint32_t p : partitions) {
+    if (p >= num_partitions) return StatusCode::kInvalidArgument;
   }
-  WorkQueue* queue = queues_[static_cast<size_t>(WorkerFor(request))].get();
+  return StatusCode::kOk;
+}
+
+StatusCode Server::Enqueue(WorkItem item) {
+  WorkQueue* queue = queues_[static_cast<size_t>(WorkerFor(
+                                 item.is_prepare ? item.prepare.partitions
+                                                 : item.request.partitions))]
+                         .get();
   inflight_.fetch_add(1, std::memory_order_relaxed);
-  bool rejected = false;
+  StatusCode code = StatusCode::kOk;
   {
     MutexLock lock(&queue->mu);
     if (queue->stopped) {
-      rejected = true;
-      error.status = StatusCode::kUnavailable;
+      code = StatusCode::kUnavailable;
     } else if (queue->items.size() >= options_.queue_capacity) {
       // Admission control: the queue is the last bounded stage; shedding
       // load here keeps overload from turning into unbounded memory growth.
-      rejected = true;
-      error.status = StatusCode::kResourceExhausted;
+      code = StatusCode::kResourceExhausted;
     } else {
-      WorkItem item;
-      item.conn_id = conn->id();
-      item.seq = seq;
-      item.request = std::move(request);
       queue->items.push_back(std::move(item));
     }
   }
-  if (rejected) {
-    inflight_.fetch_sub(1, std::memory_order_relaxed);
-    if (error.status == StatusCode::kResourceExhausted) {
-      stats_.admission_rejects.fetch_add(1, std::memory_order_relaxed);
-    }
-    CompleteInline(conn, seq, error);
-    return;
+  if (code == StatusCode::kOk) {
+    queue->cv.NotifyOne();
+    return code;
   }
-  stats_.requests_dispatched.fetch_add(1, std::memory_order_relaxed);
-  queue->cv.NotifyOne();
+  inflight_.fetch_sub(1, std::memory_order_relaxed);
+  if (code == StatusCode::kResourceExhausted) {
+    stats_.admission_rejects.fetch_add(1, std::memory_order_relaxed);
+  }
+  return code;
 }
 
-int Server::WorkerFor(const Request& request) {
-  return WorkerForPartitions(request.partitions);
-}
-
-int Server::WorkerForPartitions(const std::vector<uint32_t>& partitions) {
+int Server::WorkerFor(const std::vector<uint32_t>& partitions) {
   if (!partitioned_dispatch_) return 0;  // Single shared run queue.
   if (partitions.empty()) {
     // Undeclared access locks every partition; spread those across workers.
@@ -708,112 +505,24 @@ void Server::CompleteInline(Connection* conn, uint64_t seq,
 }
 
 void Server::FlushConnection(Connection* conn) {
-  const size_t released = conn->FlushOrdered();
-  stats_.responses_sent.fetch_add(released, std::memory_order_relaxed);
-  if (conn->has_pending_writes() && !conn->write_inflight()) {
-    MarkDirty(conn);
-  }
-  MaybeCloseDrained(conn);
-}
-
-void Server::MarkDirty(Connection* conn) {
-  if (conn->flush_pending()) return;
-  conn->set_flush_pending(true);
-  dirty_.push_back(conn->id());
-}
-
-void Server::FlushDirty() {
-  // Swap first: StartWrite may close connections while iterating.
-  std::vector<uint64_t> dirty;
-  dirty.swap(dirty_);
-  for (uint64_t id : dirty) {
-    auto it = connections_.find(id);
-    if (it == connections_.end()) continue;  // Closed earlier this batch.
-    Connection* conn = it->second.get();
-    conn->set_flush_pending(false);
-    if (!conn->write_inflight() && conn->has_pending_writes()) {
-      StartWrite(conn);
-    }
-  }
-}
-
-void Server::StartWrite(Connection* conn) {
-  const int iovcnt = conn->BuildIovec(conn->iov());
-  if (iovcnt == 0) return;
-  const Status submitted =
-      io_->SubmitWritev(conn->fd(), conn->iov(), iovcnt,
-                        WriteUd(conn->id()));
-  if (!submitted.ok()) {
-    CloseConnection(conn);
-    return;
-  }
-  conn->set_write_inflight(true);
-  stats_.writev_batches.fetch_add(1, std::memory_order_relaxed);
-  stats_.frames_batched.fetch_add(static_cast<uint64_t>(iovcnt),
+  stats_.responses_sent.fetch_add(loop_->ReleaseReplies(conn),
                                   std::memory_order_relaxed);
 }
 
-void Server::HandleWriteComplete(uint64_t conn_id, int32_t result) {
-  auto it = connections_.find(conn_id);
-  if (it == connections_.end()) return;  // Closed with the write in flight.
-  Connection* conn = it->second.get();
-  conn->set_write_inflight(false);
-  if (result < 0) {
-    if (result == -EAGAIN || result == -EINTR) {
-      StartWrite(conn);  // Spurious readiness or signal: resubmit as-is.
-      return;
-    }
-    CloseConnection(conn);
-    return;
+void Server::OnClosed(Connection* conn) {
+  if (conn->shipper() == nullptr) return;
+  // A subscribed replica left.
+  const uint32_t remaining =
+      replica_count_.fetch_sub(1, std::memory_order_acq_rel) - 1;
+  if (options_.repl_ack != ReplAckMode::kSemisync) return;
+  RecomputeSemisyncWatermark();
+  if (remaining == 0) {
+    // Losing the last replica degrades semisync to local durability;
+    // otherwise every held reply would wait forever.
+    stats_.semisync_degraded.fetch_add(1, std::memory_order_relaxed);
   }
-  conn->ConsumeWritten(static_cast<size_t>(result));
-  if (conn->has_pending_writes()) {
-    // Partial writev (socket buffer filled mid-gather, or more frames than
-    // kMaxIov): resume from the first unsent byte.
-    StartWrite(conn);
-    return;
-  }
-  if (conn->shipper() != nullptr) {
-    // A drained replica socket reopens the shipping window.
-    ShipToReplica(conn);
-    if (connections_.find(conn_id) == connections_.end()) return;
-  }
-  MaybeCloseDrained(conn);
-}
-
-bool Server::MaybeCloseDrained(Connection* conn) {
-  if (conn->draining() && conn->pending_responses() == 0 &&
-      !conn->has_pending_writes() && !conn->write_inflight() &&
-      conn->decoder()->buffered_bytes() == 0) {
-    CloseConnection(conn);
-    return true;
-  }
-  return false;
-}
-
-void Server::CloseConnection(Connection* conn) {
-  const bool was_subscribed_replica = conn->shipper() != nullptr;
-  // Drop the connection's pending ops from the backend before close: the
-  // fd number may be reused by the very next accept, and the read buffer
-  // dies with the connection below.
-  io_->CancelFd(conn->fd());
-  ::close(conn->fd());
-  connections_.erase(conn->id());  // Frees `conn`.
-  if (was_subscribed_replica) {
-    const uint32_t remaining =
-        replica_count_.fetch_sub(1, std::memory_order_acq_rel) - 1;
-    if (options_.repl_ack == ReplAckMode::kSemisync) {
-      RecomputeSemisyncWatermark();
-      if (remaining == 0) {
-        // Losing the last replica degrades semisync to local durability;
-        // otherwise every held reply would wait forever.
-        stats_.semisync_degraded.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (engine_->log_manager() != nullptr) {
-        ReleaseDurable(
-            ReleaseWatermark(engine_->log_manager()->durable_lsn()));
-      }
-    }
+  if (engine_->log_manager() != nullptr) {
+    ReleaseDurable(ReleaseWatermark(engine_->log_manager()->durable_lsn()));
   }
 }
 
@@ -822,7 +531,27 @@ void Server::PushCompletion(Completion completion) {
     MutexLock lock(&completions_mu_);
     completions_.push_back(std::move(completion));
   }
-  io_->Wakeup();
+  loop_->Wakeup();
+}
+
+void Server::PushWhenDurable(Lsn lsn, Completion completion) {
+  LogManager* log = engine_->log_manager();
+  bool held = false;
+  if (lsn > 0 && log != nullptr) {
+    MutexLock lock(&held_mu_);
+    if (ReleaseWatermark(log->durable_lsn()) < lsn) {
+      held_replies_.push(HeldReply{lsn, std::move(completion)});
+      held = true;
+    }
+  }
+  if (!held) {
+    PushCompletion(std::move(completion));
+    return;
+  }
+  // The re-check after insertion closes the race with a flush or ack that
+  // landed in between.
+  stats_.replies_held_durable.fetch_add(1, std::memory_order_relaxed);
+  ReleaseDurable(ReleaseWatermark(log->durable_lsn()));
 }
 
 void Server::ReleaseDurable(Lsn durable) {
@@ -837,7 +566,7 @@ void Server::ReleaseDurable(Lsn durable) {
       released = true;
     }
   }
-  if (released) io_->Wakeup();
+  if (released) loop_->Wakeup();
 }
 
 void Server::DrainCompletions() {
@@ -850,11 +579,10 @@ void Server::DrainCompletions() {
     if (local.empty()) break;
     for (auto& completion : local) {
       inflight_.fetch_sub(1, std::memory_order_relaxed);
-      auto it = connections_.find(completion.conn_id);
-      if (it == connections_.end()) continue;  // Client already gone.
-      Connection* conn = it->second.get();
+      Connection* conn = loop_->Find(completion.conn_id);
+      if (conn == nullptr) continue;  // Client already gone.
       conn->Complete(completion.seq, std::move(completion.encoded));
-      FlushConnection(conn);  // May close `conn`.
+      FlushConnection(conn);
     }
   }
   if (reads_paused_ && inflight_.load(std::memory_order_relaxed) <
@@ -871,42 +599,30 @@ void Server::PauseReads() {
   // release held semisync replies, which is exactly what drains the
   // budget. Coordinator connections likewise: their decision frames are
   // what un-parks prepared workers.
-  for (auto& [id, conn] : connections_) {
-    (void)id;
+  loop_->ForEach([](Connection* conn) {
     if (conn->peer() != PeerRole::kReplica &&
         conn->peer() != PeerRole::kCoordinator) {
       conn->set_read_paused(true);
     }
-  }
+  });
 }
 
 void Server::ResumeReads() {
   reads_paused_ = false;
-  std::vector<uint64_t> ids;
-  ids.reserve(connections_.size());
-  for (auto& [id, conn] : connections_) {
-    (void)conn;
-    ids.push_back(id);
-  }
-  for (uint64_t id : ids) {
-    auto it = connections_.find(id);
-    if (it == connections_.end()) continue;
-    Connection* conn = it->second.get();
+  loop_->ForEach([this](Connection* conn) {
+    if (reads_paused_) return;  // Re-paused by an earlier connection.
     conn->set_read_paused(false);
     // Frames decoded before the pause may still be buffered; re-admit them
     // now (this may re-pause, in which case stop).
     DrainFrames(conn);
-    auto again = connections_.find(id);
-    if (again != connections_.end()) StartRead(again->second.get());
-    if (reads_paused_) break;
-  }
+    if (!conn->closed()) loop_->ArmRead(conn);
+  });
 }
 
 void Server::WorkerLoop(int worker_id) {
   WorkQueue* queue =
       queues_[partitioned_dispatch_ ? static_cast<size_t>(worker_id) : 0]
           .get();
-  LogManager* log = engine_->log_manager();
   SnapshotSource* snapshot = options_.snapshot_source;
   for (;;) {
     WorkItem item;
@@ -950,36 +666,11 @@ void Server::WorkerLoop(int worker_id) {
     completion.conn_id = item.conn_id;
     completion.seq = item.seq;
     EncodeResponse(response, &completion.encoded);
-
-    if (result.commit_lsn > 0 && log != nullptr) {
-      // Group-commit-aware reply release: hold the response until the
-      // release watermark (local durability, plus a replica ack in
-      // semisync mode) reaches the commit LSN, so the client never
-      // observes a commit that could still be lost. The re-check after
-      // insertion closes the race with a flush/ack that landed in between.
-      bool held = false;
-      {
-        MutexLock lock(&held_mu_);
-        if (ReleaseWatermark(log->durable_lsn()) < result.commit_lsn) {
-          held_replies_.push(HeldReply{result.commit_lsn,
-                                       std::move(completion)});
-          held = true;
-        }
-      }
-      if (held) {
-        stats_.replies_held_durable.fetch_add(1, std::memory_order_relaxed);
-        ReleaseDurable(ReleaseWatermark(log->durable_lsn()));
-      } else {
-        PushCompletion(std::move(completion));
-      }
-    } else {
-      PushCompletion(std::move(completion));
-    }
+    PushWhenDurable(result.commit_lsn, std::move(completion));
   }
 }
 
 void Server::RunPrepare(int worker_id, WorkItem* item) {
-  LogManager* log = engine_->log_manager();
   const Prepare& prepare = item->prepare;
   const Procedure* proc = engine_->GetProcedure(prepare.proc_id);
   NEXT700_CHECK(proc != nullptr);  // Checked at dispatch.
@@ -1073,28 +764,11 @@ void Server::RunPrepare(int worker_id, WorkItem* item) {
   completion.conn_id = ack_conn_id;
   completion.seq = ack_seq;
   EncodeDecisionAck(ack, &completion.encoded);
-  const Lsn outcome_lsn =
-      do_commit && ack.status == StatusCode::kOk ? txn->commit_lsn() : 0;
-  if (outcome_lsn > 0 && log != nullptr && engine_->options().sync_commit) {
-    // Decision durable before ack: the commit outcome record must be on
-    // disk before the coordinator may forget the transaction.
-    bool held = false;
-    {
-      MutexLock lock(&held_mu_);
-      if (ReleaseWatermark(log->durable_lsn()) < outcome_lsn) {
-        held_replies_.push(HeldReply{outcome_lsn, std::move(completion)});
-        held = true;
-      }
-    }
-    if (held) {
-      stats_.replies_held_durable.fetch_add(1, std::memory_order_relaxed);
-      ReleaseDurable(ReleaseWatermark(log->durable_lsn()));
-    } else {
-      PushCompletion(std::move(completion));
-    }
-  } else {
-    PushCompletion(std::move(completion));
-  }
+  // Decision durable before ack: the commit outcome record must be on disk
+  // before the coordinator may forget the transaction.
+  const bool durable_ack = do_commit && ack.status == StatusCode::kOk &&
+                           engine_->options().sync_commit;
+  PushWhenDurable(durable_ack ? txn->commit_lsn() : 0, std::move(completion));
 }
 
 }  // namespace server

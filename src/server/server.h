@@ -7,10 +7,11 @@
 ///
 /// Architecture (one process):
 ///
-///   event-loop thread    owns an io::IoBackend (io_uring or batched
-///                        epoll); submits accepts/reads/writev batches,
-///                        reaps completions, decodes frames, dispatches,
-///                        releases ordered responses
+///   event-loop thread    runs a ConnLoop (conn_loop.h): the io backend
+///                        (io_uring or batched epoll), the listener, reads,
+///                        gathered reply writes and connection teardown;
+///                        the server adds only what frames mean: decode,
+///                        dispatch, ordered replies, admission
 ///   worker pool          executes stored procedures via
 ///                        Engine::RunProcedureDeferred; per-partition
 ///                        queue affinity for H-Store compositions
@@ -22,11 +23,11 @@
 ///                        log could still lose
 ///
 /// I/O batching: responses completed during one reap batch accumulate in
-/// per-connection frame queues; at batch end each dirty connection gets a
-/// single writev submission gathering up to Connection::kMaxIov frames.
-/// A pipelined client at depth d therefore costs ~1 write syscall per
-/// batch instead of d. The same spine carries replication batches and
-/// (via the LogManager's private ring) the group-commit flush.
+/// per-connection frame queues; at batch end the loop gives each dirty
+/// connection one writev gathering up to Connection::kMaxIov frames, so a
+/// pipelined client at depth d costs ~1 write syscall per batch instead
+/// of d. The same loop carries replication batches; the group-commit flush
+/// runs on the LogManager's private backend.
 ///
 /// Admission control: a bounded server-wide in-flight budget. When the
 /// budget fills the event loop stops resubmitting socket reads
@@ -81,6 +82,7 @@
 #include "common/status.h"
 #include "common/thread_safety.h"
 #include "io/io_backend.h"
+#include "server/conn_loop.h"
 #include "server/connection.h"
 #include "server/protocol.h"
 #include "txn/engine.h"
@@ -167,6 +169,9 @@ struct ServerStats {
   /// to workers, and decision frames received from coordinators.
   std::atomic<uint64_t> prepares_dispatched{0};
   std::atomic<uint64_t> decisions_received{0};
+  /// Failed accepts (EMFILE and friends) that disarmed the listener for a
+  /// backoff instead of spinning the loop.
+  std::atomic<uint64_t> accept_errors{0};
   /// writev submissions issued, and the frames they gathered: the ratio
   /// is the reply-batching factor (frames/writev >> 1 under pipelining).
   std::atomic<uint64_t> writev_batches{0};
@@ -175,12 +180,12 @@ struct ServerStats {
   std::atomic<uint64_t> replies_held_durable{0};  // Waited on the flusher.
 };
 
-class Server {
+class Server : private ConnLoop::Handler {
  public:
   /// `engine` must outlive the server. Procedures must be registered (and
   /// data loaded) before Start(); registration is not thread-safe.
   Server(Engine* engine, ServerOptions options);
-  ~Server();
+  ~Server() override;
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
@@ -199,11 +204,11 @@ class Server {
   const ServerStats& stats() const { return stats_; }
   /// Network-path io counters (null before Start / after Stop).
   const io::IoCounters* io_counters() const {
-    return io_ == nullptr ? nullptr : &io_->counters();
+    return loop_ == nullptr ? nullptr : &loop_->io_counters();
   }
   /// Resolved backend: "uring" or "epoll" ("none" before Start).
   const char* io_backend_name() const {
-    return io_ == nullptr ? "none" : io_->name();
+    return loop_ == nullptr ? "none" : loop_->backend_name();
   }
   Engine* engine() { return engine_; }
 
@@ -251,55 +256,54 @@ class Server {
     bool operator>(const HeldReply& other) const { return lsn > other.lsn; }
   };
 
-  void EventLoop();
   void WorkerLoop(int worker_id);
 
-  /// A completed accept: set up the connection and submit its first read.
-  void HandleAccept(int fd);
-  /// Read/write completions, routed by the conn id packed in user_data.
-  void HandleReadComplete(uint64_t conn_id, int32_t result);
-  void HandleWriteComplete(uint64_t conn_id, int32_t result);
-  /// Submits the (single outstanding) socket read unless paused/draining.
-  void StartRead(Connection* conn);
-  /// Submits one writev gathering the connection's queued frames. May
-  /// close `conn` on submission failure.
-  void StartWrite(Connection* conn);
-  /// Queues `conn` for a writev submission at the end of the reap batch.
-  void MarkDirty(Connection* conn);
-  /// Batch end: one writev per dirty connection with queued frames.
-  void FlushDirty();
+  // ConnLoop::Handler.
+  void OnAccepted(Connection* conn) override;
+  void OnFrames(Connection* conn) override { DrainFrames(conn); }
+  void OnWriteDrained(Connection* conn) override;
+  void OnClosed(Connection* conn) override;
+  void OnWakeup() override;
 
   /// Decodes and dispatches buffered frames until the stream is drained,
-  /// the budget fills, or the stream turns out to be corrupt.
+  /// the budget fills, or the connection closes.
   void DrainFrames(Connection* conn);
+  /// Counts a protocol violation and closes the connection: the stream
+  /// cannot be trusted past it.
+  void DropConnection(Connection* conn);
   /// Pre-handshake frame handling: accepts exactly one valid Hello, sends
-  /// the HelloAck, and records the peer role. Returns false if the
-  /// connection was closed (mixed-version or non-next700 peer).
-  bool HandleHello(Connection* conn, const Frame& frame);
+  /// the HelloAck, and records the peer role (anything else drops the
+  /// connection: a mixed-version or non-next700 peer).
+  void HandleHello(Connection* conn, const Frame& frame);
   /// A subscribed replica's cumulative progress ack (or its initial
-  /// subscription naming the start LSN). Returns false if closed.
-  bool HandleReplAck(Connection* conn, const Frame& frame);
+  /// subscription naming the start LSN).
+  void HandleReplAck(Connection* conn, const Frame& frame);
   /// 2PC frames from a coordinator peer (Prepare, decisions, InDoubtQuery).
-  /// Each returns false if the connection was closed.
-  bool HandleCoordinatorFrame(Connection* conn, const Frame& frame);
-  bool HandlePrepare(Connection* conn, const Frame& frame);
-  bool HandleDecision(Connection* conn, const Frame& frame);
-  bool HandleInDoubtQuery(Connection* conn, const Frame& frame);
+  void HandleCoordinatorFrame(Connection* conn, const Frame& frame);
+  void HandlePrepare(Connection* conn, const Frame& frame);
+  void HandleDecision(Connection* conn, const Frame& frame);
+  void HandleInDoubtQuery(Connection* conn, const Frame& frame);
   /// Worker-side execution of one Prepare item: run the procedure,
   /// Engine::Prepare, vote, park for the decision, apply it, ack.
   void RunPrepare(int worker_id, WorkItem* item);
   void DispatchRequest(Connection* conn, Request request);
+  /// kOk if `proc_id` may run now over `partitions`, else the error to
+  /// answer: kUnavailable while recovered in-doubt branches are unresolved,
+  /// kNotFound for an unknown procedure, kInvalidArgument for a partition
+  /// out of range.
+  StatusCode CheckRunnable(uint32_t proc_id,
+                           const std::vector<uint32_t>& partitions);
+  /// Hands `item` to the worker queue for its partitions and counts it in
+  /// flight; returns kOk, or the reject to answer (kResourceExhausted when
+  /// the queue is full, kUnavailable once stopped).
+  StatusCode Enqueue(WorkItem item);
   /// Answers `seq` on `conn` directly from the event loop (protocol errors,
   /// admission rejects) without a round trip through the worker pool.
   void CompleteInline(Connection* conn, uint64_t seq,
                       const Response& response);
-  /// Releases ordered responses into the outbound queue and marks the
-  /// connection dirty (actual writev happens at batch end / FlushDirty).
+  /// Releases ordered responses into the outbound queue; the loop writes
+  /// them at batch end.
   void FlushConnection(Connection* conn);
-  /// Closes a draining connection whose work has fully drained. Returns
-  /// true if it closed `conn`.
-  bool MaybeCloseDrained(Connection* conn);
-  void CloseConnection(Connection* conn);
 
   /// Ships durable log bytes to one subscribed replica until its write
   /// buffer reaches the shipping window or the log is drained. May close
@@ -320,6 +324,11 @@ class Server {
   /// Worker -> event loop handoff (thread-safe; wakes the loop through
   /// the backend's Wakeup, the only cross-thread entry point).
   void PushCompletion(Completion completion);
+  /// Worker side: pushes `completion` once the release watermark (local
+  /// durability, plus a replica ack in semisync mode) reaches `lsn`, so a
+  /// client never observes a commit that could still be lost; lsn 0 (or
+  /// no log) pushes at once.
+  void PushWhenDurable(Lsn lsn, Completion completion);
   /// Moves every held reply with lsn <= durable into the completion queue.
   void ReleaseDurable(Lsn durable);
   void DrainCompletions();
@@ -327,22 +336,18 @@ class Server {
   void PauseReads();
   void ResumeReads();
 
-  int WorkerFor(const Request& request);
-  int WorkerForPartitions(const std::vector<uint32_t>& partitions);
+  int WorkerFor(const std::vector<uint32_t>& partitions);
 
   Engine* engine_;
   ServerOptions options_;
   ServerStats stats_;
 
-  int listen_fd_ = -1;
   uint16_t bound_port_ = 0;
   std::atomic<bool> running_{false};
-  std::atomic<bool> stop_requested_{false};
 
-  /// Submission/completion backend for every socket in this server.
-  /// Submit/Reap/CancelFd are event-loop-thread-only; Wakeup() is the
+  /// Every socket of this server. Loop-thread-only except Wakeup(), the
   /// one thread-safe entry (workers, log flusher, Stop()).
-  std::unique_ptr<io::IoBackend> io_;
+  std::unique_ptr<ConnLoop> loop_;
 
   std::thread loop_thread_;
   std::vector<std::thread> workers_;
@@ -350,18 +355,12 @@ class Server {
   bool partitioned_dispatch_ = false;
   uint64_t round_robin_ = 0;
 
-  // Event-loop-owned connection table.
-  std::unordered_map<uint64_t, std::unique_ptr<Connection>> connections_;
-  uint64_t next_conn_id_ = 1;
   bool reads_paused_ = false;
   /// Event-loop-owned latch over the recovered in-doubt gate: true while
   /// Engine::has_in_doubt() might still hold, so the steady state never
   /// takes the engine's in-doubt mutex per request. Transitions only
   /// true -> false.
   bool in_doubt_gate_ = false;
-  /// Connections owed a writev submission at batch end (by id: an entry
-  /// may refer to a connection closed earlier in the same batch).
-  std::vector<uint64_t> dirty_;
 
   /// Subscribed replicas (shipper attached). Written by the event loop;
   /// read by the flusher callback and workers for semisync gating.

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <thread>
 
 #include "common/macros.h"
 #include "log/recovery.h"
@@ -20,28 +21,16 @@
 namespace next700 {
 namespace shard {
 
+using server::ConnLoop;
+using server::Connection;
 using server::FrameType;
 using server::PeerRole;
 
 namespace {
 
-/// user_data cookies: the accept uses a fixed cookie; reads and writes pack
-/// the connection id (sessions and shard links share one id space per
-/// loop, ids start at 1) with the low bit as the read/write discriminator.
-constexpr uint64_t kAcceptUd = 1;
-uint64_t ReadUd(uint64_t id) { return id << 1; }
-uint64_t WriteUd(uint64_t id) { return (id << 1) | 1; }
-
-constexpr size_t kReadBufBytes = 64 * 1024;
-constexpr int kMaxEvents = 256;
-
 /// Shard-link reconnect backoff (jittered doubling).
 constexpr uint64_t kLinkBackoffMinMs = 20;
 constexpr uint64_t kLinkBackoffMaxMs = 1000;
-/// Accept-error backoff (EMFILE and friends; satellite of the old
-/// busy-spin bug — the listener is disarmed while backing off).
-constexpr uint64_t kAcceptBackoffMinMs = 10;
-constexpr uint64_t kAcceptBackoffMaxMs = 200;
 /// How long a decided transaction waits for its decision acks before
 /// replying anyway: the decision is already durable, and a slow
 /// participant resolves through in-doubt recovery.
@@ -54,13 +43,6 @@ uint64_t WallNanos() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::system_clock::now().time_since_epoch())
-          .count());
-}
-
-uint64_t MonotonicMs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
 
@@ -120,10 +102,10 @@ struct ShardRouter::ShardLink {
 
   uint32_t shard_id = 0;
   State state = State::kDown;
-  /// The framed transport (outbound queue, decoder, inflight flags);
-  /// null while kDown. A fresh Connection (and a fresh id) per connect
-  /// attempt keeps stale completions from a dead socket unroutable.
-  std::unique_ptr<server::Connection> conn;
+  /// The framed transport, owned by the loop (its context() points back
+  /// here); null while kDown. A fresh Connection (and a fresh id) per
+  /// connect attempt keeps stale completions from a dead socket unroutable.
+  Connection* conn = nullptr;
   /// FIFO of what each kUp reply frame answers (shard servers reply in
   /// per-connection arrival order).
   std::deque<Expectation> expect;
@@ -169,30 +151,19 @@ struct ShardRouter::CrossTxn {
   StatusCode status = StatusCode::kOk;
 };
 
-/// One event-loop thread: an IoBackend instance plus every session, shard
-/// link and cross-shard transaction it owns. Only the owning thread
-/// touches anything but the atomics and `mu`; other threads reach in
-/// through the inbox + Wakeup.
-struct ShardRouter::RouterLoop {
-  uint32_t index = 0;
-  std::unique_ptr<io::IoBackend> io;
-  std::thread thread;
+/// One event-loop thread: a ConnLoop (sessions and shard links share its
+/// connection table) plus every shard link and cross-shard transaction it
+/// owns. Only the owning thread touches anything but the atomics; other
+/// threads reach in through ConnLoop::Wakeup.
+struct ShardRouter::RouterLoop final : ConnLoop::Handler {
+  ShardRouter* router = nullptr;
+  std::unique_ptr<ConnLoop> net;
 
-  uint64_t next_id = 1;
-  std::unordered_map<uint64_t, std::unique_ptr<server::Connection>> sessions;
   /// Two links per shard: [0, n) carry forwards, [n, 2n) carry 2PC. A
   /// shard answers a connection's frames in arrival order, so on a shared
   /// link a vote could wait behind a forward that spins on the voting
   /// branch's own locks until the vote timeout breaks the cycle.
   std::vector<std::unique_ptr<ShardLink>> links;
-  std::unordered_map<uint64_t, ShardLink*> links_by_id;
-  /// Connections owed a writev at batch end (ids; flush_pending dedupes).
-  std::vector<uint64_t> dirty;
-
-  // Accept state (loop 0 only).
-  bool accept_armed = false;
-  uint64_t accept_rearm_deadline_ms = 0;
-  uint64_t accept_backoff_ms = 0;
 
   /// Live cross-shard transactions by gtid; jobs awaiting an in-flight slot.
   std::unordered_map<uint64_t, std::unique_ptr<CrossTxn>> txns;
@@ -201,10 +172,17 @@ struct ShardRouter::RouterLoop {
   /// wake (the decision log's callback, a loop freeing a slot).
   std::atomic<uint32_t> commits_waiting{0};
   std::atomic<uint32_t> queued_jobs{0};
+  /// Runs net->Run(); declared last, joined by ShardRouter::Stop().
+  std::thread thread;
 
-  // Cross-thread inbox, drained on Op::kWakeup.
-  Mutex mu;
-  std::vector<int> pending_fds GUARDED_BY(mu);
+  void OnAccepted(Connection* conn) override {
+    (void)conn;
+    router->stats_.sessions_accepted.fetch_add(1, std::memory_order_relaxed);
+  }
+  void OnFrames(Connection* conn) override { router->OnFrames(this, conn); }
+  void OnEof(Connection* conn) override { router->OnEof(this, conn); }
+  void OnClosed(Connection* conn) override { router->OnClosed(this, conn); }
+  uint64_t OnTimers() override { return router->OnTimers(this); }
 };
 
 ShardRouter::ShardRouter(ShardRouterOptions options)
@@ -246,50 +224,29 @@ Status ShardRouter::Start() {
     shard_addrs_.emplace_back(std::move(host), shard_port);
   }
 
-  // Event loops (and their backends) before the listen socket so a
-  // backend-creation failure (kUring on an old kernel) leaks nothing.
   const uint32_t nloops = ResolveNumLoops(options_.num_loops);
+  std::vector<ConnLoop*> group;
   for (uint32_t i = 0; i < nloops; ++i) {
     auto loop = std::make_unique<RouterLoop>();
-    loop->index = i;
-    NEXT700_RETURN_IF_ERROR(
-        io::CreateIoBackend(options_.io_backend, &loop->io));
+    loop->router = this;
+    NEXT700_RETURN_IF_ERROR(ConnLoop::Create(
+        options_.io_backend, loop.get(),
+        {&stats_.writev_batches, &stats_.frames_batched,
+         &stats_.accept_errors},
+        &loop->net));
     for (uint32_t s = 0; s < 2 * num_shards(); ++s) {
       auto link = std::make_unique<ShardLink>();
       link->shard_id = s % num_shards();
       link->rng ^= i * 2654435761ull + s + 1;
       loop->links.push_back(std::move(link));
     }
+    group.push_back(loop->net.get());
     loops_.push_back(std::move(loop));
   }
-
-  listen_fd_ =
-      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (listen_fd_ < 0) return Status::IOError("socket() failed");
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.listen_port);
-  if (::inet_pton(AF_INET, options_.listen_host.c_str(), &addr.sin_addr) !=
-      1) {
-    return Status::InvalidArgument("bad listen host: " + options_.listen_host);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-          0 ||
-      ::listen(listen_fd_, 128) < 0) {
-    return Status::IOError("bind/listen failed: " +
-                           std::string(strerror(errno)));
-  }
-  socklen_t addr_len = sizeof(addr);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &addr_len);
-  port_ = ntohs(addr.sin_port);
-
-  // Arm loop 0's persistent accept before its thread starts (no
-  // concurrency yet, so the single-owner contract holds).
-  NEXT700_RETURN_IF_ERROR(loops_[0]->io->SubmitAccept(listen_fd_, kAcceptUd));
-  loops_[0]->accept_armed = true;
+  // Loop 0 owns the listener; the core deals sockets over every loop.
+  NEXT700_RETURN_IF_ERROR(loops_[0]->net->Listen(
+      options_.listen_host, options_.listen_port, 128, std::move(group),
+      &port_));
 
   stop_.store(false, std::memory_order_release);
   {
@@ -306,30 +263,28 @@ Status ShardRouter::Start() {
     if (!decision_log_->io_status().ok()) decision_log_failed_.store(true);
     decision_durable_lsn_.store(durable);
     for (auto& loop : loops_) {
-      if (loop->commits_waiting.load() > 0) loop->io->Wakeup();
+      if (loop->commits_waiting.load() > 0) loop->net->Wakeup();
     }
   });
   for (auto& loop : loops_) {
     RouterLoop* raw = loop.get();
-    raw->thread = std::thread([this, raw] { LoopRun(raw); });
+    raw->thread = std::thread([raw] { raw->net->Run(); });
   }
   running_ = true;
   return Status::OK();
 }
 
 void ShardRouter::Stop() {
-  if (loops_.empty() && listen_fd_ < 0) {
+  if (loops_.empty()) {
     if (decision_log_ != nullptr) decision_log_->Close();
     return;
   }
   stop_.store(true, std::memory_order_release);
 
-  // The durable callback wakes loop backends, so it goes first; this
-  // returns only after an in-flight invocation finished.
+  // The durable callback wakes loops, so it goes first; this returns only
+  // after an in-flight invocation finished.
   if (decision_log_ != nullptr) decision_log_->SetDurableCallback(nullptr);
-  for (auto& loop : loops_) {
-    if (loop->io != nullptr) loop->io->Wakeup();
-  }
+  for (auto& loop : loops_) loop->net->Stop();
   for (auto& loop : loops_) {
     if (loop->thread.joinable()) loop->thread.join();
   }
@@ -338,40 +293,22 @@ void ShardRouter::Stop() {
   }
   shards_cv_.NotifyAll();  // Unpark WaitShardsConnected; it observes stop_.
 
-  // Loop threads are joined: this thread owns their state now.
+  // Loop threads are joined: this thread owns their state now. Each
+  // ConnLoop closes its sockets as it is destroyed.
   for (auto& loop : loops_) {
-    for (auto& [id, conn] : loop->sessions) {
-      ::close(conn->fd());
-      stats_.sessions_closed.fetch_add(1, std::memory_order_relaxed);
-    }
-    loop->sessions.clear();
-    for (auto& link : loop->links) {
-      if (link->conn != nullptr) {
-        ::close(link->conn->fd());
-        link->conn.reset();
+    loop->net->ForEach([this](Connection* conn) {
+      if (LinkOf(conn) == nullptr) {
+        stats_.sessions_closed.fetch_add(1, std::memory_order_relaxed);
       }
-    }
-    loop->links_by_id.clear();
-    {
-      MutexLock lock(&loop->mu);
-      for (const int fd : loop->pending_fds) ::close(fd);
-      loop->pending_fds.clear();
-    }
-    if (loop->io != nullptr) {
-      io_syscalls_retired_.fetch_add(
-          loop->io->counters().syscalls.load(std::memory_order_relaxed),
-          std::memory_order_relaxed);
-      loop->io.reset();
-    }
+    });
+    io_syscalls_retired_.fetch_add(
+        loop->net->io_counters().syscalls.load(std::memory_order_relaxed),
+        std::memory_order_relaxed);
   }
   loops_.clear();
   {
     MutexLock lock(&committed_mu_);
     active_gtids_.clear();
-  }
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
   }
   if (decision_log_ != nullptr) decision_log_->Close();
   running_ = false;
@@ -394,91 +331,39 @@ bool ShardRouter::WaitShardsConnected(int64_t timeout_ms) {
 uint64_t ShardRouter::io_syscalls() const {
   uint64_t total = io_syscalls_retired_.load(std::memory_order_relaxed);
   for (const auto& loop : loops_) {
-    if (loop->io != nullptr) {
-      total += loop->io->counters().syscalls.load(std::memory_order_relaxed);
-    }
+    total += loop->net->io_counters().syscalls.load(std::memory_order_relaxed);
   }
   return total;
 }
 
 // --- Event loop ----------------------------------------------------------
 
-void ShardRouter::LoopRun(RouterLoop* loop) {
-  std::vector<io::IoEvent> events(kMaxEvents);
-  while (!stop_.load(std::memory_order_acquire)) {
-    ProcessTimers(loop);
-    if (loop->commits_waiting.load(std::memory_order_relaxed) > 0) {
-      ReleaseDurableCommits(loop);
-    }
-    if (!loop->queued.empty()) StartQueued(loop);
-    FlushDirty(loop);
-    const int n =
-        loop->io->Reap(events.data(), kMaxEvents, ComputeReapTimeout(loop));
-    if (n < 0) break;  // Broken backend; Stop() cleans up.
-    for (int i = 0; i < n; ++i) {
-      if (stop_.load(std::memory_order_acquire)) return;
-      const io::IoEvent& ev = events[i];
-      switch (ev.op) {
-        case io::IoEvent::Op::kWakeup:
-          DrainInbox(loop);
-          break;
-        case io::IoEvent::Op::kAccept:
-          HandleAccept(loop, ev.result);
-          break;
-        case io::IoEvent::Op::kRead:
-        case io::IoEvent::Op::kWrite: {
-          ShardLink* link = nullptr;
-          server::Connection* conn = FindConn(loop, ev.user_data >> 1, &link);
-          if (conn == nullptr) break;  // Stale: already torn down.
-          if ((ev.user_data & 1) != 0) {
-            HandleWrite(loop, conn, link, ev.result);
-          } else {
-            HandleRead(loop, conn, link, ev.result);
-          }
-          break;
-        }
-        case io::IoEvent::Op::kFsync:
-          break;  // The router submits no fsyncs on the loop backends.
-      }
-    }
+uint64_t ShardRouter::OnTimers(RouterLoop* loop) {
+  ProcessTimers(loop);
+  if (loop->commits_waiting.load(std::memory_order_relaxed) > 0) {
+    ReleaseDurableCommits(loop);
   }
-}
-
-int ShardRouter::ComputeReapTimeout(RouterLoop* loop) const {
-  uint64_t next = UINT64_MAX;
+  if (!loop->queued.empty()) StartQueued(loop);
+  uint64_t next = ConnLoop::kNoDeadline;
   for (const auto& link : loop->links) {
     if (link->state == ShardLink::State::kDown) {
       next = std::min(next, link->retry_deadline_ms);
     }
-  }
-  if (loop->index == 0 && !loop->accept_armed) {
-    next = std::min(next, loop->accept_rearm_deadline_ms);
   }
   for (const auto& [gtid, txn] : loop->txns) {
     if (txn->phase != CrossTxn::Phase::kLogging) {
       next = std::min(next, txn->deadline_ms);
     }
   }
-  if (next == UINT64_MAX) return -1;  // Nothing timed; block until an event.
-  const uint64_t now = MonotonicMs();
-  if (next <= now) return 0;
-  return static_cast<int>(std::min<uint64_t>(next - now, 60 * 1000));
+  return next;
 }
 
 void ShardRouter::ProcessTimers(RouterLoop* loop) {
-  const uint64_t now = MonotonicMs();
+  const uint64_t now = ConnLoop::NowMs();
   for (auto& link : loop->links) {
     if (link->state == ShardLink::State::kDown &&
         link->retry_deadline_ms <= now) {
       StartConnectLink(loop, link.get());
-    }
-  }
-  if (loop->index == 0 && !loop->accept_armed &&
-      loop->accept_rearm_deadline_ms <= now) {
-    if (loop->io->SubmitAccept(listen_fd_, kAcceptUd).ok()) {
-      loop->accept_armed = true;
-    } else {
-      loop->accept_rearm_deadline_ms = now + kAcceptBackoffMaxMs;
     }
   }
   std::vector<uint64_t> expired;
@@ -513,21 +398,6 @@ void ShardRouter::ProcessTimers(RouterLoop* loop) {
   }
 }
 
-void ShardRouter::DrainInbox(RouterLoop* loop) {
-  std::vector<int> fds;
-  {
-    MutexLock lock(&loop->mu);
-    fds.swap(loop->pending_fds);
-  }
-  for (const int fd : fds) AdoptSession(loop, fd);
-}
-
-void ShardRouter::MarkDirty(RouterLoop* loop, server::Connection* conn) {
-  if (conn->flush_pending()) return;
-  conn->set_flush_pending(true);
-  loop->dirty.push_back(conn->id());
-}
-
 void ShardRouter::SendOnLink(RouterLoop* loop, ShardLink* link,
                              const std::vector<uint8_t>& bytes,
                              const Expectation& expectation) {
@@ -535,225 +405,73 @@ void ShardRouter::SendOnLink(RouterLoop* loop, ShardLink* link,
   link->expect.push_back(expectation);
   // Everything staged on this link within one reap batch rides the same
   // gather write — the fast path's syscall budget.
-  MarkDirty(loop, link->conn.get());
+  loop->net->MarkDirty(link->conn);
 }
 
-void ShardRouter::FlushDirty(RouterLoop* loop) {
-  if (loop->dirty.empty()) return;
-  // Swap first: teardown/error paths may re-dirty connections.
-  std::vector<uint64_t> ids;
-  ids.swap(loop->dirty);
-  for (const uint64_t id : ids) {
-    ShardLink* link = nullptr;
-    server::Connection* conn = FindConn(loop, id, &link);
-    if (conn == nullptr) continue;
-    conn->set_flush_pending(false);
-    if (!conn->write_inflight() && conn->has_pending_writes()) {
-      StartConnWrite(loop, conn);
-    }
-  }
-}
-
-void ShardRouter::StartConnWrite(RouterLoop* loop, server::Connection* conn) {
-  const int iovcnt = conn->BuildIovec(conn->iov());
-  if (iovcnt == 0) return;
-  const Status submitted = loop->io->SubmitWritev(conn->fd(), conn->iov(),
-                                                  iovcnt, WriteUd(conn->id()));
-  if (!submitted.ok()) {
-    ShardLink* link = nullptr;
-    FindConn(loop, conn->id(), &link);
-    DropConn(loop, conn, link);
-    return;
-  }
-  conn->set_write_inflight(true);
-  stats_.writev_batches.fetch_add(1, std::memory_order_relaxed);
-  stats_.frames_batched.fetch_add(static_cast<uint64_t>(iovcnt),
-                                  std::memory_order_relaxed);
-}
-
-server::Connection* ShardRouter::FindConn(RouterLoop* loop, uint64_t id,
-                                          ShardLink** link) {
-  *link = nullptr;
-  if (auto sit = loop->sessions.find(id); sit != loop->sessions.end()) {
-    return sit->second.get();
-  }
-  auto lit = loop->links_by_id.find(id);
-  if (lit == loop->links_by_id.end()) return nullptr;
-  *link = lit->second;
-  return lit->second->conn.get();
-}
-
-void ShardRouter::DropConn(RouterLoop* loop, server::Connection* conn,
-                           ShardLink* link) {
-  if (link != nullptr) {
-    TeardownLink(loop, link);
+void ShardRouter::OnFrames(RouterLoop* loop, Connection* conn) {
+  if (ShardLink* link = LinkOf(conn)) {
+    DrainLinkFrames(loop, link);
   } else {
-    CloseSession(loop, conn->id());
+    DrainSessionFrames(loop, conn);
   }
 }
 
-void ShardRouter::StartRead(RouterLoop* loop, server::Connection* conn,
-                            ShardLink* link) {
-  uint8_t* buf = conn->EnsureReadBuffer(kReadBufBytes);
-  if (!loop->io->SubmitRead(conn->fd(), buf, kReadBufBytes, ReadUd(conn->id()))
-           .ok()) {
-    DropConn(loop, conn, link);
-    return;
-  }
-  conn->set_read_inflight(true);
-}
-
-void ShardRouter::HandleRead(RouterLoop* loop, server::Connection* conn,
-                             ShardLink* link, int32_t result) {
-  conn->set_read_inflight(false);
-  if (result == -EAGAIN || result == -EINTR) {
-    StartRead(loop, conn, link);
-  } else if (result == 0 && link == nullptr) {
-    // Session EOF: drain what is buffered, then close once every admitted
-    // request has been answered and written.
-    conn->set_draining();
-    if (DrainSessionFrames(loop, conn)) MaybeCloseDrained(loop, conn);
-  } else if (result <= 0) {
-    DropConn(loop, conn, link);
+void ShardRouter::OnEof(RouterLoop* loop, Connection* conn) {
+  // A shard hanging up fails its link at once; a client's EOF drains what
+  // it sent, and the loop closes the session once every reply is written.
+  if (LinkOf(conn) != nullptr) {
+    loop->net->Close(conn);
   } else {
-    conn->decoder()->Feed(conn->read_buf(), static_cast<size_t>(result));
-    // Draining returns false when it closed the session or tore the link.
-    if (link != nullptr ? DrainLinkFrames(loop, link)
-                        : DrainSessionFrames(loop, conn)) {
-      StartRead(loop, conn, link);
-    }
+    DrainSessionFrames(loop, conn);
   }
 }
 
-void ShardRouter::HandleWrite(RouterLoop* loop, server::Connection* conn,
-                              ShardLink* link, int32_t result) {
-  conn->set_write_inflight(false);
-  if (result < 0 && result != -EAGAIN && result != -EINTR) {
-    DropConn(loop, conn, link);
-    return;
+void ShardRouter::OnClosed(RouterLoop* loop, Connection* conn) {
+  // Link expectations and cross-shard transactions that still name a
+  // closed session's id resolve to nothing at lookup time.
+  if (ShardLink* link = LinkOf(conn)) {
+    LinkDown(loop, link);
+  } else {
+    stats_.sessions_closed.fetch_add(1, std::memory_order_relaxed);
   }
-  if (result > 0) conn->ConsumeWritten(static_cast<size_t>(result));
-  if (conn->has_pending_writes()) {
-    StartConnWrite(loop, conn);  // Short write or retry: resume the rest.
-  } else if (link == nullptr) {
-    MaybeCloseDrained(loop, conn);
-  } else if (result >= 0 && !conn->read_inflight()) {
-    StartRead(loop, conn, link);  // A link reads once its first write lands.
-  }
-}
-
-// --- Accept path ---------------------------------------------------------
-
-void ShardRouter::HandleAccept(RouterLoop* loop, int32_t result) {
-  if (result < 0) {
-    if (result == -ECONNABORTED || result == -EAGAIN || result == -EINTR) {
-      return;  // The peer gave up or a spurious wake; the accept stays armed.
-    }
-    // EMFILE/ENFILE/ENOMEM...: a level-triggered listener would report
-    // readiness forever, so disarm and re-arm after a growing backoff
-    // instead of spinning a core until an fd frees.
-    stats_.accept_errors.fetch_add(1, std::memory_order_relaxed);
-    loop->io->CancelFd(listen_fd_);
-    loop->accept_armed = false;
-    loop->accept_backoff_ms =
-        loop->accept_backoff_ms == 0
-            ? kAcceptBackoffMinMs
-            : std::min(loop->accept_backoff_ms * 2, kAcceptBackoffMaxMs);
-    loop->accept_rearm_deadline_ms = MonotonicMs() + loop->accept_backoff_ms;
-    return;
-  }
-  loop->accept_backoff_ms = 0;
-  const uint32_t target_index =
-      accept_rr_.fetch_add(1, std::memory_order_relaxed) %
-      static_cast<uint32_t>(loops_.size());
-  RouterLoop* target = loops_[target_index].get();
-  if (target == loop) {
-    AdoptSession(loop, result);
-    return;
-  }
-  {
-    MutexLock lock(&target->mu);
-    target->pending_fds.push_back(result);
-  }
-  target->io->Wakeup();
-}
-
-void ShardRouter::AdoptSession(RouterLoop* loop, int fd) {
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  const uint64_t id = loop->next_id++;
-  auto conn = std::make_unique<server::Connection>(fd, id);
-  server::Connection* raw = conn.get();
-  loop->sessions.emplace(id, std::move(conn));
-  stats_.sessions_accepted.fetch_add(1, std::memory_order_relaxed);
-  StartRead(loop, raw, nullptr);
 }
 
 // --- Client sessions -----------------------------------------------------
 
-bool ShardRouter::DrainSessionFrames(RouterLoop* loop,
-                                     server::Connection* conn) {
-  for (;;) {
+void ShardRouter::DrainSessionFrames(RouterLoop* loop, Connection* conn) {
+  while (!conn->closed()) {
     server::Frame frame;
     bool have = false;
     if (!conn->decoder()->Next(&frame, &have).ok()) {
-      CloseSession(loop, conn->id());
-      return false;
+      loop->net->Close(conn);
+      return;
     }
-    if (!have) return true;
+    if (!have) return;
     if (!conn->handshaken()) {
       server::Hello hello;
       if (frame.type != FrameType::kHello ||
           !server::DecodeHello(frame.body, frame.body_len, &hello).ok() ||
           hello.role != PeerRole::kClient) {
-        CloseSession(loop, conn->id());
-        return false;
+        loop->net->Close(conn);
+        return;
       }
       conn->set_handshaken();
       conn->set_peer(PeerRole::kClient);
       std::vector<uint8_t> ack;
       server::EncodeHelloAck(server::HelloAck{}, &ack);
       conn->EnqueueRaw(ack.data(), ack.size());
-      MarkDirty(loop, conn);
+      loop->net->MarkDirty(conn);
       continue;
     }
     if (frame.type != FrameType::kRequest) {
-      CloseSession(loop, conn->id());
-      return false;
+      loop->net->Close(conn);
+      return;
     }
     RouteRequest(loop, conn, conn->AdmitRequest(), frame);
   }
 }
 
-bool ShardRouter::MaybeCloseDrained(RouterLoop* loop,
-                                    server::Connection* conn) {
-  if (!conn->draining()) return false;
-  if (conn->pending_responses() != 0) return false;
-  if (conn->has_pending_writes() || conn->write_inflight()) return false;
-  if (conn->decoder()->buffered_bytes() != 0) return false;
-  CloseSession(loop, conn->id());
-  return true;
-}
-
-void ShardRouter::CloseSession(RouterLoop* loop, uint64_t session_id) {
-  auto it = loop->sessions.find(session_id);
-  if (it == loop->sessions.end()) return;
-  server::Connection* conn = it->second.get();
-  loop->io->CancelFd(conn->fd());
-  ::close(conn->fd());
-  loop->sessions.erase(it);
-  stats_.sessions_closed.fetch_add(1, std::memory_order_relaxed);
-  // Link expectations and cross-shard transactions that still name this
-  // session id resolve to nothing at lookup time — no dangling state.
-}
-
-void ShardRouter::ReleaseSessionReplies(RouterLoop* loop,
-                                        server::Connection* conn) {
-  if (conn->FlushOrdered() > 0) MarkDirty(loop, conn);
-  MaybeCloseDrained(loop, conn);
-}
-
-void ShardRouter::ReplyError(RouterLoop* loop, server::Connection* conn,
+void ShardRouter::ReplyError(RouterLoop* loop, Connection* conn,
                              uint64_t ticket, uint64_t request_id,
                              StatusCode code) {
   server::Response response;
@@ -762,12 +480,12 @@ void ShardRouter::ReplyError(RouterLoop* loop, server::Connection* conn,
   std::vector<uint8_t> encoded;
   server::EncodeResponse(response, &encoded);
   conn->Complete(ticket, std::move(encoded));
-  ReleaseSessionReplies(loop, conn);
+  loop->net->ReleaseReplies(conn);
 }
 
 // --- Routing -------------------------------------------------------------
 
-void ShardRouter::RouteRequest(RouterLoop* loop, server::Connection* conn,
+void ShardRouter::RouteRequest(RouterLoop* loop, Connection* conn,
                                uint64_t ticket, const server::Frame& frame) {
   server::RequestView request;
   if (!server::DecodeRequestView(frame.body, frame.body_len, &request).ok()) {
@@ -823,7 +541,7 @@ void ShardRouter::RouteRequest(RouterLoop* loop, server::Connection* conn,
   StartQueued(loop);
 }
 
-void ShardRouter::StageForward(RouterLoop* loop, server::Connection* conn,
+void ShardRouter::StageForward(RouterLoop* loop, Connection* conn,
                                uint64_t ticket, uint32_t shard_id,
                                const server::Frame& frame,
                                uint64_t request_id) {
@@ -852,85 +570,79 @@ void ShardRouter::StartConnectLink(RouterLoop* loop, ShardLink* link) {
   const int fd =
       ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) {
-    TeardownLink(loop, link);
+    LinkDown(loop, link);
     return;
   }
+  link->conn = loop->net->Adopt(fd);
+  link->conn->set_context(link);
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   sockaddr_in addr;
   std::memset(&addr, 0, sizeof(addr));
   addr.sin_family = AF_INET;
   addr.sin_port = htons(shard_port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    TeardownLink(loop, link);
+  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1 ||
+      (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0 &&
+       errno != EINPROGRESS)) {
+    loop->net->Close(link->conn);  // Schedules the retry.
     return;
   }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0 &&
-      errno != EINPROGRESS) {
-    ::close(fd);
-    TeardownLink(loop, link);
-    return;
-  }
-  const uint64_t id = loop->next_id++;
-  link->conn = std::make_unique<server::Connection>(fd, id);
-  loop->links_by_id.emplace(id, link);
   link->state = ShardLink::State::kHello;
   link->resolve_pending = -1;
   // Queue the handshake + in-doubt query now; the backend parks the writev
   // until the (possibly still in-progress) connect makes the socket
-  // writable, and a failed connect surfaces as the write error. The read
-  // is armed off the first write completion.
+  // writable, and a failed connect surfaces as the write error. The loop
+  // arms the read once that first write lands.
   std::vector<uint8_t> bytes;
   server::Hello hello;
   hello.role = PeerRole::kCoordinator;
   server::EncodeHello(hello, &bytes);
   server::EncodeInDoubtQuery(&bytes);
   link->conn->EnqueueRaw(bytes.data(), bytes.size());
-  MarkDirty(loop, link->conn.get());
+  loop->net->MarkDirty(link->conn);
 }
 
-bool ShardRouter::DrainLinkFrames(RouterLoop* loop, ShardLink* link) {
-  for (;;) {
+void ShardRouter::DrainLinkFrames(RouterLoop* loop, ShardLink* link) {
+  // Frame bodies point into the decoder, valid until its next Next(); a
+  // handler that closes the link leaves the Connection (and so the
+  // decoder) alive until the batch ends.
+  Connection* conn = link->conn;
+  while (!conn->closed()) {
     server::Frame frame;
     bool have = false;
-    if (!link->conn->decoder()->Next(&frame, &have).ok()) {
-      TeardownLink(loop, link);
-      return false;
+    if (!conn->decoder()->Next(&frame, &have).ok()) {
+      loop->net->Close(conn);
+      return;
     }
-    if (!have) return true;
-    const std::vector<uint8_t> body(frame.body, frame.body + frame.body_len);
-    bool alive;
+    if (!have) return;
     if (link->state == ShardLink::State::kUp) {
-      alive = HandleLinkReply(loop, link, frame.type, body);
+      HandleLinkReply(loop, link, frame);
     } else {
-      alive = HandleLinkHandshakeFrame(loop, link, frame.type, body);
+      HandleLinkHandshakeFrame(loop, link, frame);
     }
-    if (!alive) return false;
   }
 }
 
-bool ShardRouter::HandleLinkHandshakeFrame(RouterLoop* loop, ShardLink* link,
-                                           FrameType type,
-                                           const std::vector<uint8_t>& body) {
+void ShardRouter::HandleLinkHandshakeFrame(RouterLoop* loop, ShardLink* link,
+                                           const server::Frame& frame) {
   if (link->state == ShardLink::State::kHello) {
     server::HelloAck ack;
-    if (type != FrameType::kHelloAck ||
-        !server::DecodeHelloAck(body.data(), body.size(), &ack).ok()) {
-      TeardownLink(loop, link);
-      return false;
+    if (frame.type != FrameType::kHelloAck ||
+        !server::DecodeHelloAck(frame.body, frame.body_len, &ack).ok()) {
+      loop->net->Close(link->conn);
+      return;
     }
     link->state = ShardLink::State::kResolve;
-    return true;
+    return;
   }
   NEXT700_CHECK(link->state == ShardLink::State::kResolve);
   if (link->resolve_pending < 0) {
     // First frame after the HelloAck answers the in-doubt query.
     server::InDoubtList list;
-    if (type != FrameType::kInDoubtList ||
-        !server::DecodeInDoubtList(body.data(), body.size(), &list).ok()) {
-      TeardownLink(loop, link);
-      return false;
+    if (frame.type != FrameType::kInDoubtList ||
+        !server::DecodeInDoubtList(frame.body, frame.body_len, &list).ok()) {
+      loop->net->Close(link->conn);
+      return;
     }
     link->resolve_pending = 0;
     for (const uint64_t gtid : list.gtids) {
@@ -941,47 +653,42 @@ bool ShardRouter::HandleLinkHandshakeFrame(RouterLoop* loop, ShardLink* link,
       if (!skip) SendDecision(loop, link, gtid, commit);
     }
     if (link->resolve_pending == 0) LinkUp(loop, link);
-    return true;
+    return;
   }
   server::DecisionAck ack;
-  if (type != FrameType::kDecisionAck ||
-      !server::DecodeDecisionAck(body.data(), body.size(), &ack).ok()) {
-    TeardownLink(loop, link);
-    return false;
+  if (frame.type != FrameType::kDecisionAck ||
+      !server::DecodeDecisionAck(frame.body, frame.body_len, &ack).ok()) {
+    loop->net->Close(link->conn);
+    return;
   }
   stats_.resolved_in_doubt.fetch_add(1, std::memory_order_relaxed);
   if (--link->resolve_pending == 0) LinkUp(loop, link);
-  return true;
 }
 
-bool ShardRouter::HandleLinkReply(RouterLoop* loop, ShardLink* link,
-                                  FrameType type,
-                                  const std::vector<uint8_t>& body) {
+void ShardRouter::HandleLinkReply(RouterLoop* loop, ShardLink* link,
+                                  const server::Frame& frame) {
   server::Vote vote;
-  if (link->expect.empty() || type != link->expect.front().reply ||
-      (type == FrameType::kVote &&
-       (!server::DecodeVote(body.data(), body.size(), &vote).ok() ||
+  if (link->expect.empty() || frame.type != link->expect.front().reply ||
+      (frame.type == FrameType::kVote &&
+       (!server::DecodeVote(frame.body, frame.body_len, &vote).ok() ||
         vote.gtid != link->expect.front().gtid))) {
     // A reply nothing asked for (or the wrong kind): the stream can no
     // longer be paired up. The unmatched expectation fails with the link.
-    TeardownLink(loop, link);
-    return false;
+    loop->net->Close(link->conn);
+    return;
   }
   const Expectation e = link->expect.front();
   link->expect.pop_front();
-  if (type == FrameType::kVote) {
+  if (frame.type == FrameType::kVote) {
     HandleVote(loop, link, vote);
-  } else if (type == FrameType::kDecisionAck) {
+  } else if (frame.type == FrameType::kDecisionAck) {
     HandleAck(loop, e.gtid);
-  } else {
-    auto it = loop->sessions.find(e.session_id);
-    if (it == loop->sessions.end()) return true;  // Session already closed.
+  } else if (Connection* session = loop->net->Find(e.session_id)) {
     std::vector<uint8_t> out;
-    AppendFrame(type, body.data(), body.size(), &out);
-    it->second->Complete(e.ticket, std::move(out));
-    ReleaseSessionReplies(loop, it->second.get());
+    AppendFrame(frame.type, frame.body, frame.body_len, &out);
+    session->Complete(e.ticket, std::move(out));
+    loop->net->ReleaseReplies(session);
   }
-  return true;
 }
 
 void ShardRouter::LinkUp(RouterLoop* loop, ShardLink* link) {
@@ -995,17 +702,12 @@ void ShardRouter::LinkUp(RouterLoop* loop, ShardLink* link) {
   shards_cv_.NotifyAll();
 }
 
-void ShardRouter::TeardownLink(RouterLoop* loop, ShardLink* link) {
+void ShardRouter::LinkDown(RouterLoop* loop, ShardLink* link) {
   if (link->state == ShardLink::State::kUp) {
     MutexLock lock(&shards_mu_);
     --links_up_;
   }
-  if (link->conn != nullptr) {
-    loop->io->CancelFd(link->conn->fd());
-    ::close(link->conn->fd());
-    loop->links_by_id.erase(link->conn->id());
-    link->conn.reset();
-  }
+  link->conn = nullptr;
   std::deque<Expectation> orphans;
   orphans.swap(link->expect);
   link->resolve_pending = -1;
@@ -1015,13 +717,13 @@ void ShardRouter::TeardownLink(RouterLoop* loop, ShardLink* link) {
                          : std::min(link->backoff_ms * 2, kLinkBackoffMaxMs);
   const uint64_t half = link->backoff_ms / 2;
   link->retry_deadline_ms =
-      MonotonicMs() + half + XorShift64(&link->rng) % (half + 1);
+      ConnLoop::NowMs() + half + XorShift64(&link->rng) % (half + 1);
   for (const Expectation& e : orphans) {
     if (e.reply == FrameType::kResponse) {
-      auto it = loop->sessions.find(e.session_id);
-      if (it == loop->sessions.end()) continue;
-      ReplyError(loop, it->second.get(), e.ticket, e.request_id,
-                 StatusCode::kUnavailable);
+      if (Connection* session = loop->net->Find(e.session_id)) {
+        ReplyError(loop, session, e.ticket, e.request_id,
+                   StatusCode::kUnavailable);
+      }
     } else if (e.reply == FrameType::kDecisionAck) {
       // The reconnect's in-doubt sweep replays the decision.
       HandleAck(loop, e.gtid);
@@ -1083,7 +785,7 @@ void ShardRouter::StartQueued(RouterLoop* loop) {
     }
     CrossTxn* txn = loop->queued.front().get();
     txn->gtid = NextGtid();
-    txn->deadline_ms = MonotonicMs() + static_cast<uint64_t>(std::max<int64_t>(
+    txn->deadline_ms = ConnLoop::NowMs() + static_cast<uint64_t>(std::max<int64_t>(
                                            0, options_.vote_timeout_ms));
     loop->txns.emplace(txn->gtid, std::move(loop->queued.front()));
     loop->queued.pop_front();
@@ -1214,7 +916,7 @@ void ShardRouter::DecideCrossTxn(RouterLoop* loop, CrossTxn* txn,
   // the shards whose vote is still out (no-voters already rolled back),
   // and its reply does not wait.
   txn->phase = CrossTxn::Phase::kDecided;
-  txn->deadline_ms = MonotonicMs() + kAckTimeoutMs;
+  txn->deadline_ms = ConnLoop::NowMs() + kAckTimeoutMs;
   for (const uint32_t shard : txn->yes_shards) {
     if (SendDecision(loop, TwoPcLink(loop, shard), txn->gtid, commit) &&
         commit) {
@@ -1254,7 +956,7 @@ bool ShardRouter::SendDecision(RouterLoop* loop, ShardLink* link,
       decision, &bytes);
   if (resolving) {
     link->conn->EnqueueRaw(bytes.data(), bytes.size());
-    MarkDirty(loop, link->conn.get());
+    loop->net->MarkDirty(link->conn);
     ++link->resolve_pending;
     return false;
   }
@@ -1270,16 +972,16 @@ void ShardRouter::ReplyCrossTxn(RouterLoop* loop, CrossTxn* txn) {
   const bool commit = txn->status == StatusCode::kOk;
   (commit ? stats_.cross_shard_commits : stats_.cross_shard_aborts)
       .fetch_add(1, std::memory_order_relaxed);
-  auto sit = loop->sessions.find(txn->session_id);
-  if (sit != loop->sessions.end()) {  // Else the session died mid-2PC.
+  Connection* session = loop->net->Find(txn->session_id);
+  if (session != nullptr) {  // Else the session died mid-2PC.
     server::Response response;
     response.request_id = txn->request_id;
     response.status = txn->status;
     response.commit_lsn = commit ? txn->decision_lsn : 0;
     std::vector<uint8_t> encoded;
     server::EncodeResponse(response, &encoded);
-    sit->second->Complete(txn->ticket, std::move(encoded));
-    ReleaseSessionReplies(loop, sit->second.get());
+    session->Complete(txn->ticket, std::move(encoded));
+    loop->net->ReleaseReplies(session);
   }
   MaybeRetireCrossTxn(loop, txn);
 }
@@ -1292,7 +994,7 @@ void ShardRouter::MaybeRetireCrossTxn(RouterLoop* loop, CrossTxn* txn) {
   cross_in_flight_.fetch_sub(1);
   for (auto& other : loops_) {
     if (other.get() != loop && other->queued_jobs.load() > 0) {
-      other->io->Wakeup();
+      other->net->Wakeup();
     }
   }
 }

@@ -22,16 +22,18 @@
 /// from the log did not commit). On (re)connecting to a shard the router
 /// asks for its in-doubt gtids and replays verdicts from the log scan.
 ///
-/// Threading: N event-loop threads on the src/io/ IoBackend spine (uring
-/// or batched epoll) and no others. Loop 0 owns the accept and deals
-/// sockets round-robin; each loop owns its sessions plus two links per
-/// shard, one for forwards and one for 2PC, and everything a session needs
-/// stays on its loop. Frames staged in one reap batch leave with one gather
-/// write per link; every reply on a link pairs with the link's FIFO
-/// expectation deque (a shard answers a connection's frames in arrival
-/// order); a per-session reorder buffer releases client replies in request
-/// order. Each 2PC is a per-gtid state machine on its session's loop, and
-/// no loop ever blocks: the decision log's durable callback wakes loops
+/// Threading: N event-loop threads and no others, each a server::ConnLoop
+/// (conn_loop.h) on the src/io/ spine (uring or batched epoll). The core
+/// runs the sockets: loop 0's listener deals sessions round-robin over the
+/// loops, and each loop reads, gathers writes and tears down its own
+/// connections. The router adds what they mean. Each loop owns its sessions
+/// plus two links per shard, one for forwards and one for 2PC, and
+/// everything a session needs stays on its loop. Frames staged in one reap
+/// batch leave with one gather write per link; every reply on a link pairs
+/// with the link's FIFO expectation deque (a shard answers a connection's
+/// frames in arrival order); a per-session reorder buffer releases client
+/// replies in request order. Each 2PC is a per-gtid state machine on its
+/// session's loop, and no loop ever blocks: the decision log's durable callback wakes loops
 /// holding commits, and vote and ack deadlines are loop timers. A 2PC link
 /// carries one outstanding vote at a time, and an abort goes to every
 /// participant that has not voted no, because a branch can prepare while
@@ -49,7 +51,6 @@
 #include <deque>
 #include <memory>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -58,6 +59,7 @@
 #include "common/thread_safety.h"
 #include "io/io_backend.h"
 #include "log/log_manager.h"
+#include "server/conn_loop.h"
 #include "server/connection.h"
 #include "server/protocol.h"
 
@@ -174,40 +176,22 @@ class ShardRouter {
     uint64_t gtid = 0;
   };
 
-  // --- Event loop ---------------------------------------------------------
-  void LoopRun(RouterLoop* loop);
-  int ComputeReapTimeout(RouterLoop* loop) const;
+  // --- Event loop (RouterLoop's ConnLoop::Handler) ------------------------
+  /// Runs link retries, 2PC deadlines, durable commits and queued jobs;
+  /// returns the loop's next deadline.
+  uint64_t OnTimers(RouterLoop* loop);
   void ProcessTimers(RouterLoop* loop);
-  void DrainInbox(RouterLoop* loop);
-  void FlushDirty(RouterLoop* loop);
-  /// Owes `conn` a gather write at batch end (once per batch).
-  void MarkDirty(RouterLoop* loop, server::Connection* conn);
-  void StartConnWrite(RouterLoop* loop, server::Connection* conn);
-  /// Sessions and links share one id space per loop; `*link` is null for
-  /// a session, and the result null for an id already torn down.
-  server::Connection* FindConn(RouterLoop* loop, uint64_t id,
-                               ShardLink** link);
-  /// Read/write plumbing for a session (`link` null) or a shard link;
-  /// DropConn closes the session or tears the link down.
-  void DropConn(RouterLoop* loop, server::Connection* conn, ShardLink* link);
-  void StartRead(RouterLoop* loop, server::Connection* conn, ShardLink* link);
-  void HandleRead(RouterLoop* loop, server::Connection* conn,
-                  ShardLink* link, int32_t result);
-  void HandleWrite(RouterLoop* loop, server::Connection* conn,
-                   ShardLink* link, int32_t result);
-
-  // --- Accept path (loop 0) ----------------------------------------------
-  void HandleAccept(RouterLoop* loop, int32_t result);
-  void AdoptSession(RouterLoop* loop, int fd);
+  /// Frames from a session or a shard link (LinkOf tells them apart).
+  void OnFrames(RouterLoop* loop, server::Connection* conn);
+  void OnEof(RouterLoop* loop, server::Connection* conn);
+  void OnClosed(RouterLoop* loop, server::Connection* conn);
+  static ShardLink* LinkOf(server::Connection* conn) {
+    return static_cast<ShardLink*>(conn->context());
+  }
 
   // --- Client sessions ----------------------------------------------------
-  /// Decodes and routes buffered frames; returns false when the session
-  /// was closed.
-  bool DrainSessionFrames(RouterLoop* loop, server::Connection* conn);
-  bool MaybeCloseDrained(RouterLoop* loop, server::Connection* conn);
-  void CloseSession(RouterLoop* loop, uint64_t session_id);
-  /// FlushOrdered + dirty-mark + drained-close check after a Complete().
-  void ReleaseSessionReplies(RouterLoop* loop, server::Connection* conn);
+  /// Decodes and routes buffered frames until drained or closed.
+  void DrainSessionFrames(RouterLoop* loop, server::Connection* conn);
   void ReplyError(RouterLoop* loop, server::Connection* conn, uint64_t ticket,
                   uint64_t request_id, StatusCode code);
 
@@ -225,18 +209,19 @@ class ShardRouter {
 
   // --- Shard links (per loop, event-driven) -------------------------------
   void StartConnectLink(RouterLoop* loop, ShardLink* link);
-  /// Returns false when the link was torn down mid-drain.
-  bool DrainLinkFrames(RouterLoop* loop, ShardLink* link);
-  bool HandleLinkHandshakeFrame(RouterLoop* loop, ShardLink* link,
-                                server::FrameType type,
-                                const std::vector<uint8_t>& body);
-  bool HandleLinkReply(RouterLoop* loop, ShardLink* link,
-                       server::FrameType type,
-                       const std::vector<uint8_t>& body);
+  /// Frame bodies are passed in place: they stay valid until the link's
+  /// decoder is next read, and a torn-down link's decoder lives until the
+  /// batch ends.
+  void DrainLinkFrames(RouterLoop* loop, ShardLink* link);
+  void HandleLinkHandshakeFrame(RouterLoop* loop, ShardLink* link,
+                                const server::Frame& frame);
+  void HandleLinkReply(RouterLoop* loop, ShardLink* link,
+                       const server::Frame& frame);
   void LinkUp(RouterLoop* loop, ShardLink* link);
-  /// Fails outstanding expectations (forwards answer kUnavailable, votes
-  /// count as failed) and schedules a jittered reconnect.
-  void TeardownLink(RouterLoop* loop, ShardLink* link);
+  /// The link's connection closed (or never opened): fails outstanding
+  /// expectations (forwards answer kUnavailable, votes count as failed)
+  /// and schedules a jittered reconnect.
+  void LinkDown(RouterLoop* loop, ShardLink* link);
 
   // --- Cross-shard 2PC (per-gtid state machines on the loop) -------------
   ShardLink* TwoPcLink(RouterLoop* loop, uint32_t shard);
@@ -273,7 +258,6 @@ class ShardRouter {
   ShardRouterStats stats_;
   std::atomic<bool> stop_{false};
   bool running_ = false;
-  int listen_fd_ = -1;
   uint16_t port_ = 0;
 
   /// Parsed options_.shards.
@@ -307,7 +291,6 @@ class ShardRouter {
   uint32_t links_up_ GUARDED_BY(shards_mu_) = 0;
 
   std::vector<std::unique_ptr<RouterLoop>> loops_;
-  std::atomic<uint32_t> accept_rr_{0};
   /// Syscalls of backends already destroyed (accumulated in Stop()).
   std::atomic<uint64_t> io_syscalls_retired_{0};
 };

@@ -18,6 +18,7 @@
 
 #include "common/rng.h"
 #include "faultlog/fault_injection.h"
+#include "fd_exhaustion.h"
 #include "io/io_backend.h"
 #include "server/client.h"
 #include "server/loadgen.h"
@@ -373,6 +374,45 @@ TEST_P(ServerTest, StopWithConnectedClientsIsClean) {
   ASSERT_TRUE(client.Call(RmwRequest(1, 1), &response).ok());
   service.server->Stop();
   service.server->Stop();  // Idempotent.
+}
+
+// Regression: at the descriptor limit every accept fails with EMFILE while
+// the pending connection keeps the listener readable, and an event loop
+// that ignores the failure polls again at once, spinning a whole core
+// until an fd frees. The loop must back off instead, then accept the
+// waiting client as soon as descriptors are available again.
+TEST_P(ServerTest, AcceptErrorsBackOffInsteadOfSpinning) {
+  FdExhaustion exhausted;
+  Service service = StartService(CcScheme::kOcc, LoggingKind::kNone);
+  const uint16_t port = service.server->port();
+  const ServerStats& stats = service.server->stats();
+  exhausted.Fill(/*spare=*/1);
+  // The client's socket takes the last descriptor, so the server's accept
+  // has none left. Its handshake waits until the server accepts it.
+  Client client;
+  Status connected = Status::Unavailable("not run");
+  std::thread connector([&] { connected = client.Connect("127.0.0.1", port); });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (stats.accept_errors.load() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GT(stats.accept_errors.load(), 0u);
+  const uint64_t before = service.server->io_counters()->syscalls.load();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const uint64_t spent =
+      service.server->io_counters()->syscalls.load() - before;
+  // A backoff of 10..200 ms costs a few syscalls per retry; a spinning
+  // loop makes hundreds of thousands in the same 300 ms.
+  EXPECT_LT(spent, 1000u) << "event loop spins at the fd limit";
+
+  exhausted.Restore();
+  connector.join();
+  ASSERT_TRUE(connected.ok()) << connected.ToString();
+  Response response;
+  ASSERT_TRUE(client.Call(GetRequest(1, 7), &response).ok());
+  EXPECT_EQ(response.status, StatusCode::kOk);
 }
 
 INSTANTIATE_TEST_SUITE_P(

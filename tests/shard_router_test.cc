@@ -30,6 +30,7 @@
 #include <thread>
 #include <vector>
 
+#include "fd_exhaustion.h"
 #include "io/io_backend.h"
 #include "server/client.h"
 #include "server/procs.h"
@@ -702,6 +703,39 @@ TEST_P(ShardRouterTest, StopIsPromptWithDownShards) {
       std::chrono::steady_clock::now() - t0);
   EXPECT_LT(elapsed.count(), 100) << "Stop() took " << elapsed.count()
                                   << " ms with down shards";
+}
+
+// At the descriptor limit the router's listener must back off rather than
+// spin on EMFILE, and accept the waiting client once descriptors free up.
+TEST_P(ShardRouterTest, AcceptErrorsBackOffInsteadOfSpinning) {
+  FdExhaustion exhausted;
+  Topology topo;
+  StartTopology(&topo, TempBase(), GetParam());
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  const uint16_t port = topo.router->port();
+  const ShardRouterStats& stats = topo.router->stats();
+  exhausted.Fill(/*spare=*/1);
+  server::Client client;
+  Status connected = Status::Unavailable("not run");
+  std::thread connector([&] { connected = client.Connect("127.0.0.1", port); });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (stats.accept_errors.load() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GT(stats.accept_errors.load(), 0u);
+  const uint64_t before = topo.router->io_syscalls();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_LT(topo.router->io_syscalls() - before, 1000u)
+      << "router loop spins at the fd limit";
+
+  exhausted.Restore();
+  connector.join();
+  ASSERT_TRUE(connected.ok()) << connected.ToString();
+  server::Response response;
+  ASSERT_TRUE(client.Call(GetRequest(1, 7), &response).ok());
+  EXPECT_EQ(response.status, StatusCode::kOk);
 }
 
 INSTANTIATE_TEST_SUITE_P(
